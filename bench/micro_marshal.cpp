@@ -1,10 +1,10 @@
 // Marshal-path microbenchmark: legacy contiguous encode-then-send versus
 // the streaming scatter-gather pipeline, measured end to end over an
-// in-process pipe (encode + frame + transfer + decode into server-side
-// argument storage).  The transfer itself is a memcpy either way, so the
-// deltas isolate the marshal layer: the extra full-payload copies and
-// allocations of the legacy path against the chunked byteswap of the
-// streamed path.
+// in-process socketpair (encode + frame + transfer + decode into
+// server-side argument storage).  The transfer itself is the same kernel
+// copy either way, so the deltas isolate the marshal layer: the extra
+// full-payload copies and allocations of the legacy path against the
+// chunked byteswap of the streamed path.
 //
 //   bench_micro_marshal [--warmup N] [--repeat N] [--sizes n1,n2,...]
 //                       [--faulty] [--json PATH]

@@ -1,8 +1,8 @@
 // traced_call: one in-process Ninf_call with tracing on, printed as the
 // per-phase breakdown of a paper Table-3 row.
 //
-// The client and server share this process over the inproc transport, so
-// the trace holds both views of the same call: the client's 7-phase
+// The client and server share this process over loopback TCP, so the
+// trace holds both views of the same call: the client's 7-phase
 // decomposition (connect/marshal/send/queue-wait/compute/recv/unmarshal)
 // and the server's ground truth (server.queue-wait, server.compute, ...).
 //
@@ -10,7 +10,7 @@
 // The Chrome trace lands in traced_call.trace.json — open it in
 // chrome://tracing or summarize it with ./build/tools/ninf_trace_dump.
 #include <cstdio>
-#include <thread>
+#include <memory>
 
 #include "client/client.h"
 #include "client/ninf_api.h"
@@ -21,7 +21,7 @@
 #include "obs/trace_session.h"
 #include "server/registry.h"
 #include "server/server.h"
-#include "transport/inproc_transport.h"
+#include "transport/tcp_transport.h"
 
 using namespace ninf;
 
@@ -30,31 +30,29 @@ int main(int argc, char** argv) {
   if (out.empty()) out = "traced_call.trace.json";
   obs::TraceSession trace(out);
 
-  // In-process pair: the server serves one end on a helper thread, the
-  // client speaks the full wire protocol into the other.
+  // The server's reactor serves an ephemeral loopback port; the client
+  // speaks the full wire protocol to it.
   server::Registry registry;
   server::registerStandardExecutables(registry);
   server::NinfServer srv(registry, {.workers = 1});
-  auto [client_end, server_end] = transport::inprocPair();
-  std::thread server_thread([&srv, s = std::move(server_end)]() mutable {
-    srv.serveStream(*s);
-  });
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  srv.start(listener);
 
   {
-    client::NinfClient cl(std::move(client_end));
+    auto cl = client::NinfClient::connectTcp("127.0.0.1", listener->port());
     const std::int64_t n = 64;
     const numlib::Matrix a = numlib::randomMatrix(n, 1);
     const numlib::Matrix b = numlib::randomMatrix(n, 2);
     std::vector<double> c(n * n);
-    const auto result = client::ninfCall(cl, "dmmul", n, a.flat(),
+    const auto result = client::ninfCall(*cl, "dmmul", n, a.flat(),
                                          b.flat(), std::span<double>(c));
-    std::printf("dmmul n=%lld over inproc: %.3f ms, %lld bytes out, %lld in\n",
+    std::printf("dmmul n=%lld over loopback: %.3f ms, %lld bytes out, "
+                "%lld in\n",
                 static_cast<long long>(n), result.elapsed * 1e3,
                 static_cast<long long>(result.bytes_sent),
                 static_cast<long long>(result.bytes_received));
-    cl.close();
+    cl->close();
   }
-  server_thread.join();
   srv.stop();
 
   // Summarize before the session flushes: this is one Table-3 row seen

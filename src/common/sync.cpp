@@ -174,13 +174,10 @@ void declareCanonicalHierarchy() {
                 "channel.pending"});
   // Session wire path: a v1 exchange holds the channel setup lock across
   // transport sends (and may log); v2 sends hold the send lock, with
-  // fault injection and the pipe beneath it.  Both the fault plan and a
-  // deadline-expired pipe wait bump obs counters under their own lock.
-  declareOrder({"channel.setup", "inproc.pipe", "obs.registry"});
+  // fault injection beneath it, and the fault plan bumps obs counters.
   declareOrder({"channel.setup", "obs.registry"});
   declareOrder({"channel.setup", "log.sink"});
   declareOrder({"channel.send", "faultplan", "obs.registry"});
-  declareOrder({"channel.send", "inproc.pipe"});
   // Reactor: the solo hand-off queue is a strict leaf — postSolo writes
   // the wakeup eventfd under it but never takes another lock, and the
   // reactor thread drains it via swap so solo tasks (which do take the

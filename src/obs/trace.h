@@ -4,7 +4,7 @@
 // connect, marshal-args, send, queue-wait, compute, recv and
 // unmarshal-result on the client side, with server.* ground-truth twins
 // recorded by the computational server and transport-level detail spans
-// (tcp.send, inproc.recv, ...) underneath.  The simulator emits the same
+// (tcp.send, tcp.recv) underneath.  The simulator emits the same
 // schema on its own lane (kLaneSim) in virtual time, so a real LAN run
 // and its simulated counterpart are diffable with one tool
 // (tools/ninf_trace_dump).

@@ -314,21 +314,6 @@ std::size_t encodeModeHeader(WireMode mode, MessageType type,
 
 }  // namespace
 
-std::vector<std::uint8_t> flattenFrame(WireMode mode, MessageType type,
-                                       std::uint64_t call_id,
-                                       const WireTraceContext& ctx,
-                                       const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  std::uint8_t header[kHeaderBytesV2Traced];
-  const std::size_t header_len =
-      encodeModeHeader(mode, type, body.size(), call_id, ctx, header);
-  std::vector<std::uint8_t> out;
-  out.reserve(header_len + body.size());
-  out.insert(out.end(), header, header + header_len);
-  body.appendTo(out);  // copies borrowed segments, byteswapped
-  return out;
-}
-
 common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         std::uint64_t call_id,
                                         const WireTraceContext& ctx,

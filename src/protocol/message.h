@@ -288,21 +288,13 @@ class FrameAssembler {
   FrameHeader header_{};  // valid while have_header_
 };
 
-/// Materialize one wire frame (header + body) into owned contiguous
-/// bytes, byteswapping any borrowed double arrays through the encoder's
-/// scratch path.  This is the reactor's epilogue step: the returned
-/// buffer is self-contained (no keepalive needed) and ready for a
-/// non-blocking write queue.  `call_id` and `ctx` are ignored by modes
-/// whose header does not carry them.
-std::vector<std::uint8_t> flattenFrame(WireMode mode, MessageType type,
-                                       std::uint64_t call_id,
-                                       const WireTraceContext& ctx,
-                                       const xdr::Encoder& body);
-
-/// flattenFrame into a pool slab instead of a fresh vector — the
-/// steady-state reply path of the reactor pipeline, where the epilogue
-/// flattens on a worker and the slab travels to the reactor's write
-/// queue and back to the pool after the writev.
+/// Materialize one wire frame (header + body) into a pool slab,
+/// byteswapping any borrowed double arrays through the encoder's
+/// scratch path.  This is the reactor pipeline's epilogue step: the
+/// slab is self-contained (no keepalive needed), travels from a worker
+/// to the reactor's write queue, and returns to the pool after the
+/// writev.  `call_id` and `ctx` are ignored by modes whose header does
+/// not carry them.
 common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         std::uint64_t call_id,
                                         const WireTraceContext& ctx,
@@ -318,9 +310,10 @@ common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
 
 /// Record a materialized wire-buffer size in the
 /// "wire.peak_buffer_bytes" gauge (monotonic max since last metrics
-/// reset).  The streaming pipeline's peak stays near the scratch size
-/// regardless of payload; the legacy contiguous path reports the full
-/// message.
+/// reset).  Streamed sends and the client's body reader stay near the
+/// scratch size regardless of payload; contiguous sends report the full
+/// message, and the server's reactor reports each reassembled request
+/// frame (one slab holding the whole body).
 void noteWireBuffer(std::size_t bytes);
 
 /// Server-side status snapshot carried by StatusReply (metaserver food).

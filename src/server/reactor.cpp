@@ -1,5 +1,9 @@
 #include "server/reactor.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cerrno>
@@ -12,13 +16,8 @@
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "server/server.h"
+#include "transport/net_tuning.h"
 #include "xdr/xdr.h"
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-#endif
 
 namespace ninf::server {
 
@@ -35,10 +34,6 @@ double monotonicSeconds() {
 }
 
 }  // namespace
-
-#ifdef __linux__
-
-bool Reactor::supported() { return true; }
 
 Reactor::Reactor(NinfServer& server,
                  std::shared_ptr<transport::Listener> listener,
@@ -233,7 +228,7 @@ void Reactor::handleAccept() {
           accept_registered_ = false;
         }
         accept_resume_at_ =
-            monotonicSeconds() + options_.accept_backoff_seconds;
+            monotonicSeconds() + transport::kAcceptBackoffSeconds;
         return;
     }
   }
@@ -568,24 +563,5 @@ void Reactor::destroyConn(std::uint64_t conn_id) {
 void Reactor::updateFdGauge() const {
   obs::gauge("server.reactor.fds").set(static_cast<double>(conns_.size()));
 }
-
-#else  // !__linux__
-
-bool Reactor::supported() { return false; }
-
-Reactor::Reactor(NinfServer& server,
-                 std::shared_ptr<transport::Listener> listener, Options options)
-    : server_(server), listener_(std::move(listener)), options_(options) {
-  throw TransportError("epoll reactor is not supported on this platform");
-}
-
-Reactor::~Reactor() = default;
-void Reactor::stop() {}
-void Reactor::postSolo(std::function<void()>) {}
-void Reactor::queueReply(std::uint64_t, common::PooledBuffer) {}
-void Reactor::finishStagedCall(std::uint64_t, common::PooledBuffer) {}
-bool Reactor::connAlive(std::uint64_t) const { return false; }
-
-#endif  // __linux__
 
 }  // namespace ninf::server

@@ -31,9 +31,10 @@
 // marks the connection busy and no further frames are parsed until its
 // reply is queued, preserving lock-step reply order.
 //
-// Only available on Linux (epoll); Reactor::supported() reports this
-// and NinfServer::start() falls back to thread-per-connection when the
-// reactor is unavailable or the listener has no pollable handle.
+// Linux only (epoll).  The listener and every stream it accepts must
+// expose a pollable native handle and the non-blocking stream ops; TCP
+// and in-process socket streams do, and so do fault-injection wrappers
+// around them.  The constructor rejects a listener without a handle.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,6 @@
 #include "common/buffer_pool.h"
 #include "common/sync.h"
 #include "protocol/message.h"
-#include "transport/net_tuning.h"
 #include "transport/transport.h"
 
 namespace ninf::server {
@@ -60,13 +60,7 @@ class Reactor {
     /// Staged calls in flight (dispatched, reply not yet queued) before
     /// the reactor stops reading from connections.
     std::size_t max_inflight = 256;
-    /// Pause on fd exhaustion before accepting again; shared with the
-    /// threaded accept loop so both paths shed load at the same rate.
-    double accept_backoff_seconds = transport::kAcceptBackoffSeconds;
   };
-
-  /// True when this platform has epoll (Linux).
-  static bool supported();
 
   /// Spawns the reactor thread.  `listener` must expose a native
   /// handle.  The reactor serves connections by calling back into

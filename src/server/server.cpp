@@ -1,8 +1,6 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
@@ -17,150 +15,6 @@ namespace ninf::server {
 using protocol::CallTimings;
 using protocol::Message;
 using protocol::MessageType;
-
-/// Per-connection reply writer for protocol-v2 connections: jobs and the
-/// connection thread post typed replies here, one thread serializes the
-/// scatter-gather sends.  Replies leave in completion order, not arrival
-/// order — the call ID is the correlation.
-///
-/// Lifetime: the connection thread owns the writer via shared_ptr and
-/// each queued job holds another reference, so a job finishing after the
-/// peer vanished still has somewhere safe to post (the post is dropped
-/// once the writer is dead).  finish() — called by the connection thread
-/// when the read side ends — waits until every expected reply has been
-/// posted and sent (or the connection died), then joins; after that the
-/// stream may be destroyed, because a dead writer never touches it again.
-class NinfServer::ConnWriter {
- public:
-  /// `traced` selects the 40-byte traced v2 framing for every reply.
-  explicit ConnWriter(transport::Stream& stream, bool traced = false)
-      : stream_(stream), traced_(traced) {
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~ConnWriter() {
-    // finish() joined on every path through serveStreamV2; this is the
-    // safety net for exotic unwinds.
-    if (thread_.joinable()) {
-      {
-        LockGuard g(mutex_);
-        dead_ = true;
-        closed_ = true;
-      }
-      cv_.notify_all();
-      thread_.join();
-    }
-  }
-
-  /// Count one reply owed later (a call job headed for the queue).
-  void expect() {
-    LockGuard g(mutex_);
-    ++outstanding_;
-  }
-
-  /// Queue one reply frame.  `from_job` balances a prior expect().
-  /// `trace_ctx` is echoed in the traced header (ignored otherwise).
-  /// Posts to a dead writer are counted and dropped.
-  void post(std::uint64_t call_id, MessageType type, ReplyPayload payload,
-            bool from_job, protocol::WireTraceContext trace_ctx = {}) {
-    {
-      LockGuard g(mutex_);
-      if (from_job) --outstanding_;
-      if (!dead_) {
-        items_.push_back({call_id, type, std::move(payload), trace_ctx});
-      }
-    }
-    cv_.notify_all();
-  }
-
-  bool dead() const {
-    LockGuard g(mutex_);
-    return dead_;
-  }
-
-  /// Graceful shutdown: wait for every owed reply to be posted and sent
-  /// (a dead connection stops waiting for sends, but still waits for the
-  /// jobs so no lambda outlives its keepalive assumptions), then join.
-  void finish() {
-    {
-      UniqueLock lk(mutex_);
-      cv_.wait(lk, [this] {
-        return outstanding_ == 0 && (dead_ || (items_.empty() && !sending_));
-      });
-      closed_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  struct Item {
-    std::uint64_t call_id = 0;
-    MessageType type{};
-    ReplyPayload payload;
-    protocol::WireTraceContext trace_ctx;
-  };
-
-  void loop() {
-    for (;;) {
-      Item item;
-      {
-        UniqueLock lk(mutex_);
-        cv_.wait(lk,
-                 [this] { return dead_ || closed_ || !items_.empty(); });
-        if (dead_) {
-          items_.clear();
-          cv_.wait(lk, [this] { return closed_; });
-          return;
-        }
-        if (items_.empty()) return;  // closed_ and drained
-        item = std::move(items_.front());
-        items_.pop_front();
-        sending_ = true;
-      }
-      try {
-        if (traced_) {
-          protocol::sendMessageV2Traced(stream_, item.type, item.call_id,
-                                        item.trace_ctx, item.payload.body);
-        } else {
-          protocol::sendMessageV2(stream_, item.type, item.call_id,
-                                  item.payload.body);
-        }
-        {
-          LockGuard g(mutex_);
-          sending_ = false;
-        }
-        cv_.notify_all();
-      } catch (const Error& e) {
-        NINF_LOG(Debug) << "reply send failed: " << e.what();
-        {
-          LockGuard g(mutex_);
-          dead_ = true;
-          sending_ = false;
-          items_.clear();
-        }
-        // Kick the connection thread out of its blocking header read.
-        stream_.close();
-        cv_.notify_all();
-      }
-    }
-  }
-
-  transport::Stream& stream_;
-  const bool traced_;
-  std::thread thread_;
-  mutable Mutex mutex_{"server.connwriter"};
-  CondVar cv_;
-  std::deque<Item> items_ NINF_GUARDED_BY(mutex_);
-  /// Expected replies not yet posted.
-  std::size_t outstanding_ NINF_GUARDED_BY(mutex_) = 0;
-  /// A send is in flight outside the lock.
-  bool sending_ NINF_GUARDED_BY(mutex_) = false;
-  /// finish() called; drain and exit.
-  bool closed_ NINF_GUARDED_BY(mutex_) = false;
-  /// Connection unusable; drop everything.
-  bool dead_ NINF_GUARDED_BY(mutex_) = false;
-};
 
 NinfServer::NinfServer(Registry& registry, ServerOptions options)
     : registry_(registry),
@@ -185,124 +39,12 @@ NinfServer::~NinfServer() { stop(); }
 void NinfServer::start(std::shared_ptr<transport::Listener> listener) {
   NINF_REQUIRE(listener != nullptr, "null listener");
   NINF_REQUIRE(!listener_, "server already started");
+  Reactor::Options ropts;
+  ropts.max_inflight = options_.max_inflight_calls > 0
+                           ? options_.max_inflight_calls
+                           : std::max<std::size_t>(64, options_.workers * 16);
+  reactor_ = std::make_unique<Reactor>(*this, listener, ropts);
   listener_ = std::move(listener);
-  if (options_.use_reactor && Reactor::supported() &&
-      listener_->nativeHandle() >= 0) {
-    Reactor::Options ropts;
-    ropts.max_inflight =
-        options_.max_inflight_calls > 0
-            ? options_.max_inflight_calls
-            : std::max<std::size_t>(64, options_.workers * 16);
-    reactor_ = std::make_unique<Reactor>(*this, listener_, ropts);
-    return;
-  }
-  accept_thread_ = std::thread([this] {
-    while (!stopping_.load()) {
-      std::unique_ptr<transport::Stream> stream;
-      try {
-        stream = listener_->accept();
-      } catch (const Error& e) {
-        if (!stopping_.load()) {
-          NINF_LOG(Warn) << "accept failed: " << e.what();
-        }
-        break;
-      }
-      if (!stream) break;  // listener closed
-      auto shared = std::shared_ptr<transport::Stream>(std::move(stream));
-      LockGuard lock(conn_mutex_);
-      conn_streams_.push_back(shared);
-      conn_threads_.emplace_back(
-          [this, s = std::move(shared)] { serveStream(*s); });
-    }
-  });
-}
-
-void NinfServer::serveStream(transport::Stream& stream) {
-  NINF_LOG(Debug) << "serving connection from " << stream.peerName();
-  try {
-    for (;;) {
-      const protocol::FrameHeader header = protocol::recvHeader(stream);
-      if (header.type == MessageType::Hello) {
-        protocol::BodyReader body(stream, header.length);
-        const std::uint32_t client_max = body.getU32();
-        // Optional extension word: a feature bitmask appended by newer
-        // clients.  Its absence (or any unknown bits) costs nothing.
-        const bool client_sent_features = body.remaining() >= 4;
-        const std::uint32_t client_features =
-            client_sent_features ? body.getU32() : 0;
-        body.drain();
-        const std::uint32_t agreed =
-            std::min(client_max, protocol::kMaxVersion);
-        const std::uint32_t features =
-            client_features & protocol::kFeatureTraceContext;
-        xdr::Encoder ack;
-        ack.putU32(agreed);
-        // Echo the accepted bitmask only to feature-aware peers, so a
-        // pre-extension client sees a byte-identical HelloAck.
-        if (client_sent_features) ack.putU32(features);
-        protocol::sendMessage(stream, MessageType::HelloAck, ack.bytes());
-        if (agreed >= protocol::kVersion2) {
-          serveStreamV2(stream,
-                        (features & protocol::kFeatureTraceContext) != 0);
-          return;
-        }
-        continue;  // negotiated down: keep the lock-step v1 loop
-      }
-      handleFrame(stream, header);
-    }
-  } catch (const TransportError&) {
-    // Normal disconnect path.
-  } catch (const Error& e) {
-    NINF_LOG(Warn) << "connection from " << stream.peerName()
-                   << " aborted: " << e.what();
-  }
-}
-
-void NinfServer::serveStreamV2(transport::Stream& stream, bool traced) {
-  static obs::Counter& upgrades = obs::counter("server.v2_connections");
-  upgrades.add();
-  auto writer = std::make_shared<ConnWriter>(stream, traced);
-  try {
-    for (;;) {
-      const protocol::FrameHeader header =
-          traced ? protocol::recvHeaderV2Traced(stream)
-                 : protocol::recvHeaderV2(stream);
-      switch (header.type) {
-        case MessageType::CallRequest: {
-          protocol::BodyReader body(stream, header.length);
-          executeCallAsync(body, header.call_id, header.trace, writer);
-          break;
-        }
-        case MessageType::SubmitRequest: {
-          protocol::BodyReader body(stream, header.length);
-          const std::uint64_t id = submitCall(body);
-          xdr::Encoder enc;
-          enc.putU64(id);
-          writer->post(header.call_id, MessageType::SubmitAck,
-                       ReplyPayload{std::move(enc), nullptr}, false,
-                       header.trace);
-          break;
-        }
-        default: {
-          Message msg;
-          msg.type = header.type;
-          msg.payload.resize(header.length);
-          if (header.length > 0) stream.recvAll(msg.payload);
-          protocol::noteWireBuffer(msg.payload.size());
-          ReplyEnvelope env = controlReply(msg);
-          writer->post(header.call_id, env.type, std::move(env.payload),
-                       false, header.trace);
-          break;
-        }
-      }
-    }
-  } catch (const TransportError&) {
-    // Peer hung up (or the writer closed the stream under us).
-  } catch (const Error& e) {
-    NINF_LOG(Warn) << "v2 connection from " << stream.peerName()
-                   << " aborted: " << e.what();
-  }
-  writer->finish();
 }
 
 void NinfServer::stop() {
@@ -310,30 +52,11 @@ void NinfServer::stop() {
     return;
   }
   if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Quiesce the reactor before closing the job queue: the loop exits,
   // connections drop, and posts from jobs still running in workers turn
   // into no-ops.  The Reactor object itself stays alive until the
   // server is destroyed so those jobs always have a valid target.
   if (reactor_) reactor_->stop();
-  // Swap the connection table out under the lock, then close and join
-  // outside it: joining while holding conn_mutex_ would deadlock against
-  // any connection-side path that ever takes the lock, and stalls every
-  // concurrent start()/stop() behind slow disconnects regardless.
-  std::vector<std::thread> conns;
-  std::vector<std::weak_ptr<transport::Stream>> streams;
-  {
-    LockGuard lock(conn_mutex_);
-    conns.swap(conn_threads_);
-    streams.swap(conn_streams_);
-  }
-  // Unblock connection threads parked in recvMessage.
-  for (auto& weak : streams) {
-    if (auto s = weak.lock()) s->close();
-  }
-  for (auto& t : conns) {
-    if (t.joinable()) t.join();
-  }
   queue_.close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
@@ -397,37 +120,6 @@ void NinfServer::updatePendingGauge(std::size_t count) {
   // Per-server gauge, same naming scheme as server.queue.depth.<name>.
   obs::gauge("server.pending_results." + queue_.name())
       .set(static_cast<double>(count));
-}
-
-void NinfServer::handleFrame(transport::Stream& stream,
-                             const protocol::FrameHeader& header) {
-  switch (header.type) {
-    case MessageType::CallRequest: {
-      protocol::BodyReader body(stream, header.length);
-      ReplyPayload reply = executeCall(body);
-      protocol::sendMessage(stream, MessageType::CallReply, reply.body);
-      return;
-    }
-    case MessageType::SubmitRequest: {
-      protocol::BodyReader body(stream, header.length);
-      const std::uint64_t id = submitCall(body);
-      xdr::Encoder enc;
-      enc.putU64(id);
-      protocol::sendMessage(stream, MessageType::SubmitAck, enc.bytes());
-      return;
-    }
-    default: {
-      // Control messages are small; materialize and dispatch.
-      Message msg;
-      msg.type = header.type;
-      msg.payload.resize(header.length);
-      if (header.length > 0) stream.recvAll(msg.payload);
-      protocol::noteWireBuffer(msg.payload.size());
-      ReplyEnvelope env = controlReply(msg);
-      protocol::sendMessage(stream, env.type, env.payload.body);
-      return;
-    }
-  }
 }
 
 NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
@@ -507,9 +199,8 @@ struct PreparedCall {
   double estimated_flops = 0.0;
 };
 
-/// Decode a call straight off the wire: the entry name and scalars come
-/// through the body reader's small buffer, array payloads land directly
-/// in the ServerCallData storage.
+/// Decode a call from its reassembled frame body into ServerCallData
+/// storage, bound to the named executable.
 PreparedCall prepare(Registry& registry, xdr::Source& src) {
   const std::string name = src.getString();
   PreparedCall call;
@@ -527,15 +218,9 @@ NinfServer::ReplyPayload errorReply(const std::string& message) {
   return {std::move(enc), nullptr, /*ok=*/false};
 }
 
-/// Largest call body the lock-step / thread-per-connection loops will
-/// materialize for idempotent-cache eligibility; bigger calls keep the
-/// historical streamed decode and bypass the cache.  (The reactor path
-/// has the whole body in a frame slab already, so no limit applies.)
-constexpr std::size_t kCacheBodyLimit = 8 * 1024 * 1024;
-
 /// Alloc-free peek at the entry name leading a CallRequest body (XDR
 /// string: big-endian u32 length, then the bytes).  Empty on malformed
-/// input — the streamed decoder produces the real error in that case.
+/// input — the argument decoder produces the real error in that case.
 std::string_view peekCallName(std::span<const std::uint8_t> body) {
   if (body.size() < 4) return {};
   const std::uint32_t len = (std::uint32_t{body[0]} << 24) |
@@ -555,16 +240,8 @@ ResultCache::Payload materializeReply(const NinfServer::ReplyPayload& reply) {
   return bytes;
 }
 
-/// Wrap a cached payload as a fresh ReplyPayload (copies into an owned
-/// encoder buffer; the cache keeps its shared copy).
-NinfServer::ReplyPayload replayPayload(const ResultCache::Payload& payload) {
-  xdr::Encoder enc;
-  enc.putRaw({payload->data(), payload->size()});
-  return {std::move(enc), nullptr};
-}
-
 /// Worker-side execution of a prepared call: the shared body of the
-/// blocking and two-phase paths.  Records the server's ground-truth
+/// staged-call and two-phase paths.  Records the server's ground-truth
 /// queue-wait and compute phases (span + histogram) alongside the
 /// timings shipped back to the client.  When the caller installed a
 /// propagated trace context (ScopedTraceContext), the spans join the
@@ -626,196 +303,6 @@ NinfServer::ReplyPayload runPreparedCall(ServerMetrics& metrics,
 
 }  // namespace
 
-NinfServer::ReplyPayload NinfServer::executeCall(protocol::BodyReader& body) {
-  // Idempotent-cache participation: the lock-step loop streams the body,
-  // so eligibility requires materializing it first.  A hit replays the
-  // cached payload; a concurrent identical call parks on the owner's
-  // completion (safe to block here — stop() joins connection threads
-  // before it closes the job queue, so the owner's job always runs).
-  common::PooledBuffer buffered;
-  ResultCache::Digest digest{};
-  bool cache_owner = false;
-  if (cache_ && body.remaining() <= kCacheBodyLimit) {
-    buffered = common::acquireBuffer(body.remaining());
-    buffered.resize(body.remaining());
-    body.getRaw(buffered.writableSpan());
-    const std::string_view name = peekCallName(buffered.span());
-    if (!name.empty() && registry_.isIdempotent(name)) {
-      digest = ResultCache::digestOf(buffered.span());
-      auto parked = std::make_shared<std::promise<ResultCache::Payload>>();
-      const ResultCache::Lookup lookup = cache_->lookupOrJoin(
-          digest, [parked](ResultCache::Payload p) {
-            parked->set_value(std::move(p));
-          });
-      if (lookup.role == ResultCache::Role::Hit) {
-        return replayPayload(lookup.payload);
-      }
-      if (lookup.role == ResultCache::Role::Waiter) {
-        ResultCache::Payload payload = parked->get_future().get();
-        if (payload) return replayPayload(payload);
-        return errorReply("idempotent call aborted before completion");
-      }
-      cache_owner = true;  // compute below and fulfill on every path
-    }
-  }
-
-  PreparedCall call;
-  try {
-    if (!buffered.empty()) {
-      xdr::Decoder src(buffered.span());
-      call = prepare(registry_, src);
-    } else {
-      call = prepare(registry_, body);
-    }
-  } catch (const std::exception& e) {
-    // Keep the connection framing aligned: the rest of the body must be
-    // consumed before the error reply goes out.
-    body.drain();
-    ReplyPayload err = errorReply(e.what());
-    if (cache_owner) cache_->fulfill(digest, materializeReply(err), false);
-    return err;
-  }
-
-  auto call_sp = std::make_shared<PreparedCall>(std::move(call));
-  std::promise<ReplyPayload> done;
-  auto fut = done.get_future();
-  metrics_.jobQueued();
-  Job job;
-  job.id = next_job_id_.fetch_add(1);
-  job.estimated_flops = call_sp->estimated_flops;
-  job.enqueue_time = metrics_.now();
-  job.run = [this, call_sp, enqueue = job.enqueue_time, &done]() mutable {
-    done.set_value(runPreparedCall(metrics_, *call_sp, enqueue));
-  };
-  queue_.push(std::move(job));
-  ReplyPayload reply = fut.get();
-  reply.keepalive = std::move(call_sp);  // reply body borrows the OUT arrays
-  if (cache_owner) {
-    cache_->fulfill(digest, materializeReply(reply), reply.ok);
-  }
-  return reply;
-}
-
-void NinfServer::executeCallAsync(protocol::BodyReader& body,
-                                  std::uint64_t call_id,
-                                  const protocol::WireTraceContext& trace_ctx,
-                                  const std::shared_ptr<ConnWriter>& writer) {
-  // Idempotent-cache participation, mirroring executeCall().  The writer
-  // is told to expect a reply up front so finish() waits for a parked
-  // waiter's callback exactly as it waits for a job.
-  common::PooledBuffer buffered;
-  ResultCache::Digest digest{};
-  bool cache_owner = false;
-  if (cache_ && body.remaining() <= kCacheBodyLimit) {
-    buffered = common::acquireBuffer(body.remaining());
-    buffered.resize(body.remaining());
-    body.getRaw(buffered.writableSpan());
-    const std::string_view name = peekCallName(buffered.span());
-    if (!name.empty() && registry_.isIdempotent(name)) {
-      digest = ResultCache::digestOf(buffered.span());
-      writer->expect();
-      const ResultCache::Lookup lookup = cache_->lookupOrJoin(
-          digest, [call_id, trace_ctx, writer](ResultCache::Payload p) {
-            ReplyPayload reply =
-                p ? replayPayload(p)
-                  : errorReply("idempotent call aborted before completion");
-            writer->post(call_id, MessageType::CallReply, std::move(reply),
-                         true, trace_ctx);
-          });
-      if (lookup.role == ResultCache::Role::Hit) {
-        writer->post(call_id, MessageType::CallReply,
-                     replayPayload(lookup.payload), true, trace_ctx);
-        return;
-      }
-      if (lookup.role == ResultCache::Role::Waiter) {
-        return;  // the parked callback posts the reply
-      }
-      cache_owner = true;  // the expect() above is balanced below
-    }
-  }
-
-  PreparedCall call;
-  try {
-    if (!buffered.empty()) {
-      xdr::Decoder src(buffered.span());
-      call = prepare(registry_, src);
-    } else {
-      call = prepare(registry_, body);
-    }
-  } catch (const std::exception& e) {
-    body.drain();
-    ReplyPayload err = errorReply(e.what());
-    if (cache_owner) cache_->fulfill(digest, materializeReply(err), false);
-    writer->post(call_id, MessageType::CallReply, std::move(err),
-                 /*from_job=*/cache_owner, trace_ctx);
-    return;
-  }
-
-  auto call_sp = std::make_shared<PreparedCall>(std::move(call));
-  metrics_.jobQueued();
-  Job job;
-  job.id = next_job_id_.fetch_add(1);
-  job.estimated_flops = call_sp->estimated_flops;
-  job.enqueue_time = metrics_.now();
-  if (!cache_owner) writer->expect();
-  job.run = [this, call_sp, call_id, trace_ctx, writer, cache_owner, digest,
-             enqueue = job.enqueue_time]() mutable {
-    // Adopt the client's propagated context for the duration of the job,
-    // so queue-wait/compute spans become children of its call span.
-    obs::ScopedTraceContext adopt(
-        obs::TraceContext{trace_ctx.trace_id, trace_ctx.parent_span});
-    ReplyPayload reply =
-        runPreparedCall(metrics_, *call_sp, enqueue, call_id);
-    reply.keepalive = call_sp;  // reply body borrows the OUT arrays
-    if (cache_owner) {
-      cache_->fulfill(digest, materializeReply(reply), reply.ok);
-    }
-    writer->post(call_id, MessageType::CallReply, std::move(reply), true,
-                 trace_ctx);
-  };
-  queue_.push(std::move(job));
-}
-
-std::uint64_t NinfServer::submitCall(protocol::BodyReader& body) {
-  const std::uint64_t id = next_job_id_.fetch_add(1);
-  std::size_t depth = 0;
-  {
-    LockGuard lock(pending_mutex_);
-    pending_.emplace(id, PendingResult{});
-    depth = pending_.size();
-  }
-  updatePendingGauge(depth);
-
-  PreparedCall prepared;
-  try {
-    prepared = prepare(registry_, body);
-  } catch (const std::exception& e) {
-    body.drain();
-    LockGuard lock(pending_mutex_);
-    pending_[id] = {true, metrics_.now(), errorReply(e.what())};
-    return id;
-  }
-
-  metrics_.jobQueued();
-  Job job;
-  job.id = id;
-  job.estimated_flops = prepared.estimated_flops;
-  job.enqueue_time = metrics_.now();
-  job.run = [this, id,
-             call = std::make_shared<PreparedCall>(std::move(prepared)),
-             enqueue = job.enqueue_time]() mutable {
-    ReplyPayload reply = runPreparedCall(metrics_, *call, enqueue);
-    reply.keepalive = call;
-    {
-      LockGuard lock(pending_mutex_);
-      pending_[id] = {true, metrics_.now(), std::move(reply)};
-    }
-    pending_cv_.notify_all();
-  };
-  queue_.push(std::move(job));
-  return id;
-}
-
 // ----------------------------------------------------------------- reactor
 // Staged pipeline behind the epoll reactor (see reactor.h).  A complete
 // call frame flows:
@@ -830,7 +317,7 @@ std::uint64_t NinfServer::submitCall(protocol::BodyReader& body) {
 //
 // The solo hops serialize every touch of connection and admission state
 // on the reactor thread, so the stages themselves need no locks beyond
-// the ones the legacy path already takes (queue, pending table).
+// the job queue's and the pending table's.
 
 void NinfServer::reactorStageCall(std::uint64_t conn_id,
                                   protocol::WireMode mode,
@@ -916,10 +403,9 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
     prologue_depth.set(std::max(0.0, prologue_depth.value() - 1.0));
 
     if (is_submit) {
-      // Two-phase: the job detaches from the connection exactly as in
-      // submitCall() — it runs (or records its decode error) under a
-      // fresh id even if the client is already gone, and the SubmitAck
-      // is this staged call's reply.
+      // Two-phase: the job detaches from the connection — it runs (or
+      // records its decode error) under a fresh id even if the client is
+      // already gone, and the SubmitAck is this staged call's reply.
       const std::uint64_t id = next_job_id_.fetch_add(1);
       std::size_t depth = 0;
       {
@@ -940,11 +426,8 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
         job.run = [this, id, call, enqueue = job.enqueue_time]() mutable {
           ReplyPayload reply = runPreparedCall(metrics_, *call, enqueue);
           reply.keepalive = call;
-          {
-            LockGuard lock(pending_mutex_);
-            pending_[id] = {true, metrics_.now(), std::move(reply)};
-          }
-          pending_cv_.notify_all();
+          LockGuard lock(pending_mutex_);
+          pending_[id] = {true, metrics_.now(), std::move(reply)};
         };
         queue_.push(std::move(job));
       }

@@ -4,23 +4,20 @@
 //  computing requests of remote clients by managing the communication and
 //  activation of the services requested via Ninf RPC." (section 2.1)
 //
-// Threading model: start() on a pollable listener serves every
-// connection from ONE epoll reactor thread (see reactor.h) feeding a
-// staged prologue/solo/epilogue pipeline over the fixed pool of
-// `workers` execution threads — total thread count is O(workers), not
-// O(connections).  Listeners without a native handle (in-process pairs,
-// fault-injection wrappers) and direct serveStream() calls use the
-// historical thread-per-connection loop below.  workers == 1 is the
-// paper's data-parallel configuration (calls run one at a time, each
-// free to use every PE internally); workers == P is the task-parallel
-// configuration (up to P calls run concurrently, one PE each).
+// Threading model: start() serves every connection from ONE epoll
+// reactor thread (see reactor.h) feeding a staged prologue/solo/epilogue
+// pipeline over the fixed pool of `workers` execution threads — total
+// thread count is O(workers), not O(connections).  The listener must be
+// pollable; TCP listeners are, and so are fault-injection wrappers
+// around them.  workers == 1 is the paper's data-parallel configuration
+// (calls run one at a time, each free to use every PE internally);
+// workers == P is the task-parallel configuration (up to P calls run
+// concurrently, one PE each).
 //
 // Connections speak protocol v1 (lock-step) by default.  A client that
-// opens with Hello is upgraded to v2: the connection loop then only
-// decodes and enqueues — it never blocks on a running job — and a
-// per-connection writer thread serializes the scatter-gather reply sends,
-// so replies go out as jobs finish (possibly out of order, correlated by
-// call ID) and one connection carries up to `workers` concurrent calls.
+// opens with Hello is upgraded to v2: requests may be pipelined and
+// replies go out as jobs finish (possibly out of order, correlated by
+// call ID), so one connection carries up to `workers` concurrent calls.
 //
 // The two-phase protocol of section 5.1 is supported: SubmitRequest
 // detaches the job from the connection, SubmitAck returns a job id, and
@@ -59,10 +56,6 @@ struct ServerOptions {
   /// seconds after completing (<= 0 keeps them forever — the historical
   /// leak, retained only for experiments).
   double pending_ttl_seconds = 300.0;
-  /// Serve start()ed listeners through the epoll reactor (one thread for
-  /// every connection) when the platform and listener support it; false
-  /// forces the historical thread-per-connection accept loop.
-  bool use_reactor = true;
   /// Reactor admission budget: staged calls in flight (admitted, reply
   /// not yet queued) before the reactor stops reading from connections.
   /// 0 picks max(64, workers * 16).
@@ -84,25 +77,20 @@ class NinfServer {
   NinfServer(const NinfServer&) = delete;
   NinfServer& operator=(const NinfServer&) = delete;
 
-  /// Serve connections accepted from `listener` on background threads
+  /// Serve connections accepted from `listener` on the reactor thread
   /// until stop() (listener ownership is shared with the caller so tests
-  /// can read the bound port).
+  /// can read the bound port).  Throws when the listener has no native
+  /// handle to poll.
   void start(std::shared_ptr<transport::Listener> listener);
-
-  /// Handle one already-established connection until the peer disconnects.
-  /// Usable directly (e.g. with inprocPair) without start().  Returns
-  /// only after every reply owed on this connection has been sent (or the
-  /// connection died), so the stream may be destroyed afterwards.
-  void serveStream(transport::Stream& stream);
 
   /// Stop accepting, drain workers, join all threads.  Idempotent.
   void stop();
 
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// One reply body ready for streamed emission.  `body` may borrow OUT
-  /// array memory owned by `keepalive` (the prepared call), so the two
-  /// travel together until the send completes.
+  /// One reply body.  `body` may borrow OUT array memory owned by
+  /// `keepalive` (the prepared call), so the two travel together until
+  /// the body is flattened into a wire frame.
   struct ReplyPayload {
     xdr::Encoder body;
     std::shared_ptr<void> keepalive;
@@ -120,7 +108,6 @@ class NinfServer {
   };
 
  private:
-  class ConnWriter;
   friend class Reactor;
 
   void workerLoop();
@@ -138,31 +125,9 @@ class NinfServer {
   void reactorPrologue(std::uint64_t conn_id, protocol::WireMode mode,
                        protocol::Frame frame);
 
-  /// Dispatch one v1 frame.  Call bodies (CallRequest/SubmitRequest) are
-  /// consumed incrementally off the stream; other message types are small
-  /// and read whole.
-  void handleFrame(transport::Stream& stream,
-                   const protocol::FrameHeader& header);
-  /// Serve the rest of a connection that negotiated protocol v2.
-  /// `traced` = the Hello exchange accepted kFeatureTraceContext, so
-  /// every frame both ways uses the 40-byte traced header.
-  void serveStreamV2(transport::Stream& stream, bool traced);
   /// Compute the reply to a small control message (everything but
   /// CallRequest/SubmitRequest), framing-agnostic.
   ReplyEnvelope controlReply(const protocol::Message& msg);
-
-  /// Parse + enqueue a call read directly from the connection; returns
-  /// the reply (v1 blocking mode) or records it in the two-phase table.
-  ReplyPayload executeCall(protocol::BodyReader& body);
-  /// v2: parse + enqueue, then return immediately; the finished job posts
-  /// its CallReply to the connection writer under `call_id`.  `trace_ctx`
-  /// is the client's propagated trace context (zeros when absent): the
-  /// job adopts it so server spans join the client's trace, and the
-  /// reply echoes it.
-  void executeCallAsync(protocol::BodyReader& body, std::uint64_t call_id,
-                        const protocol::WireTraceContext& trace_ctx,
-                        const std::shared_ptr<ConnWriter>& writer);
-  std::uint64_t submitCall(protocol::BodyReader& body);
 
   /// Emit a cached (or owner-aborted) idempotent reply for a
   /// reactor-staged call: wraps the shared payload in this caller's own
@@ -185,22 +150,17 @@ class NinfServer {
   Registry& registry_;
   ServerOptions options_;
   ServerMetrics metrics_;
-  /// Idempotent result cache (null when cache_max_bytes == 0).  Shared by
-  /// the reactor pipeline and both legacy connection loops.
+  /// Idempotent result cache (null when cache_max_bytes == 0), consulted
+  /// by the reactor pipeline's prologue.
   std::unique_ptr<ResultCache> cache_;
   JobQueue queue_;
   std::vector<std::thread> workers_;  // created in ctor, joined in stop()
   std::shared_ptr<transport::Listener> listener_;
-  /// Event-driven connection core (start() on a pollable listener).
-  /// stop() quiesces it, but the object lives until destruction so job
-  /// lambdas still in workers can safely post (their posts are dropped).
+  /// Event-driven connection core, created by start().  stop() quiesces
+  /// it, but the object lives until destruction so job lambdas still in
+  /// workers can safely post (their posts are dropped).
   std::unique_ptr<Reactor> reactor_;
-  std::thread accept_thread_;
   std::thread sweeper_;
-  Mutex conn_mutex_{"server.conn"};
-  std::vector<std::thread> conn_threads_ NINF_GUARDED_BY(conn_mutex_);
-  std::vector<std::weak_ptr<transport::Stream>> conn_streams_
-      NINF_GUARDED_BY(conn_mutex_);
   std::atomic<bool> stopping_{false};
   /// Pairs sweeper_cv_ with the stopping_ flag (no guarded state of its
   /// own): the empty critical section in stop() fences the flag write
@@ -209,7 +169,6 @@ class NinfServer {
   CondVar sweeper_cv_;
   std::atomic<std::uint64_t> next_job_id_{1};
   Mutex pending_mutex_{"server.pending"};
-  CondVar pending_cv_;
   std::map<std::uint64_t, PendingResult> pending_
       NINF_GUARDED_BY(pending_mutex_);
 };

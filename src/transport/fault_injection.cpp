@@ -47,7 +47,7 @@ bool FaultPlan::onConnect() {
   return refuse;
 }
 
-FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
+FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes, bool draw_delay) {
   OpFault f;
   {
     LockGuard lock(mutex_);
@@ -60,7 +60,7 @@ FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
                rng_.nextBool(spec_.truncate)) {
       f.truncate_at = static_cast<std::size_t>(rng_.nextBelow(bytes));
     }
-    if (spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
+    if (draw_delay && spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
       f.delay_ms =
           spec_.delay_min_ms +
           (spec_.delay_max_ms - spec_.delay_min_ms) * rng_.nextDouble();
@@ -86,7 +86,7 @@ FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
   return f;
 }
 
-FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes) {
+FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes, bool draw_delay) {
   OpFault f;
   {
     LockGuard lock(mutex_);
@@ -98,7 +98,7 @@ FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes) {
                         rng_.nextBelow(std::max<std::size_t>(
                             1, spec_.stutter_bytes)));
     }
-    if (spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
+    if (draw_delay && spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
       f.delay_ms =
           spec_.delay_min_ms +
           (spec_.delay_max_ms - spec_.delay_min_ms) * rng_.nextDouble();
@@ -126,6 +126,26 @@ FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes) {
 
 namespace {
 
+std::size_t totalBytes(std::span<const std::span<const std::uint8_t>> buffers) {
+  std::size_t total = 0;
+  for (const auto& b : buffers) total += b.size();
+  return total;
+}
+
+/// The first `bytes` bytes of `buffers`, as views into them.
+std::vector<std::span<const std::uint8_t>> prefixOf(
+    std::span<const std::span<const std::uint8_t>> buffers,
+    std::size_t bytes) {
+  std::vector<std::span<const std::uint8_t>> out;
+  for (const auto& b : buffers) {
+    if (bytes == 0) break;
+    const std::size_t take = std::min(bytes, b.size());
+    out.push_back(b.first(take));
+    bytes -= take;
+  }
+  return out;
+}
+
 class FaultyStream : public Stream {
  public:
   FaultyStream(std::unique_ptr<Stream> inner, std::shared_ptr<FaultPlan> plan)
@@ -139,9 +159,7 @@ class FaultyStream : public Stream {
       if (f.truncate_at != FaultPlan::kNoTruncate &&
           f.truncate_at < data.size()) {
         if (f.truncate_at > 0) inner_->sendAll(data.first(f.truncate_at));
-        abortConnection("send truncated after " +
-                        std::to_string(f.truncate_at) + "/" +
-                        std::to_string(data.size()) + " bytes");
+        abortTruncated(f.truncate_at, data.size());
       }
     }
     inner_->sendAll(data);
@@ -150,23 +168,13 @@ class FaultyStream : public Stream {
   void sendv(
       std::span<const std::span<const std::uint8_t>> buffers) override {
     if (plan_->enabled()) {
-      std::size_t total = 0;
-      for (const auto& b : buffers) total += b.size();
+      const std::size_t total = totalBytes(buffers);
       const FaultPlan::OpFault f = plan_->onSend(total);
       applyDelay(f.delay_ms);
       if (f.reset) abortConnection("connection reset before send");
       if (f.truncate_at != FaultPlan::kNoTruncate && f.truncate_at < total) {
-        // Forward the prefix buffer by buffer, then cut the line.
-        std::size_t remaining = f.truncate_at;
-        for (const auto& b : buffers) {
-          if (remaining == 0) break;
-          const std::size_t take = std::min(remaining, b.size());
-          if (take > 0) inner_->sendAll(b.first(take));
-          remaining -= take;
-        }
-        abortConnection("send truncated after " +
-                        std::to_string(f.truncate_at) + "/" +
-                        std::to_string(total) + " bytes");
+        inner_->sendv(prefixOf(buffers, f.truncate_at));
+        abortTruncated(f.truncate_at, total);
       }
     }
     inner_->sendv(buffers);
@@ -202,6 +210,56 @@ class FaultyStream : public Stream {
       }
     }
     return inner_->recvSome(buffer);
+  }
+
+  // Non-blocking ops run on a reactor thread and must never sleep.  An
+  // injected delay therefore surfaces as one spurious would-block (0),
+  // and this stream's next non-blocking op skips the delay draw, so even
+  // delay = 1.0 makes progress.  A reset or truncation drawn together
+  // with a delay fires at once (a stall before the line dies is moot); a
+  // delay outranks a stutter drawn for the same read.
+
+  int nativeHandle() const override { return inner_->nativeHandle(); }
+
+  bool setNonBlocking(bool on) override { return inner_->setNonBlocking(on); }
+
+  std::size_t recvNowait(std::span<std::uint8_t> buffer) override {
+    if (plan_->enabled() && !buffer.empty()) {
+      const FaultPlan::OpFault f =
+          plan_->onRecv(buffer.size(), !stalled_.exchange(false));
+      if (f.reset) abortConnection("connection reset before recv");
+      if (f.delay_ms > 0) {
+        stalled_.store(true);
+        return 0;
+      }
+      if (f.chunk > 0) {
+        return inner_->recvNowait(
+            buffer.first(std::min(f.chunk, buffer.size())));
+      }
+    }
+    return inner_->recvNowait(buffer);
+  }
+
+  std::size_t sendvNowait(
+      std::span<const std::span<const std::uint8_t>> buffers) override {
+    if (plan_->enabled()) {
+      const std::size_t total = totalBytes(buffers);
+      const FaultPlan::OpFault f =
+          plan_->onSend(total, !stalled_.exchange(false));
+      if (f.reset) abortConnection("connection reset before send");
+      if (f.truncate_at != FaultPlan::kNoTruncate && f.truncate_at < total) {
+        // Whatever part of the prefix the socket takes right now.
+        if (f.truncate_at > 0) {
+          inner_->sendvNowait(prefixOf(buffers, f.truncate_at));
+        }
+        abortTruncated(f.truncate_at, total);
+      }
+      if (f.delay_ms > 0) {
+        stalled_.store(true);
+        return 0;
+      }
+    }
+    return inner_->sendvNowait(buffers);
   }
 
   void setDeadline(std::chrono::steady_clock::time_point deadline) override {
@@ -250,9 +308,16 @@ class FaultyStream : public Stream {
     throw TransportError("injected fault on " + peer + ": " + why);
   }
 
+  [[noreturn]] void abortTruncated(std::size_t sent, std::size_t total) {
+    abortConnection("send truncated after " + std::to_string(sent) + "/" +
+                    std::to_string(total) + " bytes");
+  }
+
   std::unique_ptr<Stream> inner_;
   std::shared_ptr<FaultPlan> plan_;
   std::atomic<std::int64_t> deadline_us_{kNoDeadlineUs};
+  /// The last non-blocking op returned an injected would-block.
+  std::atomic<bool> stalled_{false};
 };
 
 class FaultyListener : public Listener {
@@ -265,17 +330,33 @@ class FaultyListener : public Listener {
     for (;;) {
       auto stream = inner_->accept();
       if (!stream) return nullptr;
-      if (plan_->enabled() && plan_->onConnect()) {
-        stream->close();  // injected refusal: peer sees an immediate reset
-        continue;
-      }
-      return wrapFaulty(std::move(stream), plan_);
+      if (auto admitted = admit(std::move(stream))) return admitted;
     }
   }
 
   void close() override { inner_->close(); }
 
+  int nativeHandle() const override { return inner_->nativeHandle(); }
+
+  std::unique_ptr<Stream> tryAccept(AcceptStatus& status) override {
+    for (;;) {
+      auto stream = inner_->tryAccept(status);
+      if (!stream) return nullptr;
+      if (auto admitted = admit(std::move(stream))) return admitted;
+    }
+  }
+
  private:
+  /// Wrap an accepted stream, or drop it (null) on an injected refusal:
+  /// the peer sees an immediate reset.
+  std::unique_ptr<Stream> admit(std::unique_ptr<Stream> stream) {
+    if (plan_->enabled() && plan_->onConnect()) {
+      stream->close();
+      return nullptr;
+    }
+    return wrapFaulty(std::move(stream), plan_);
+  }
+
   std::unique_ptr<Listener> inner_;
   std::shared_ptr<FaultPlan> plan_;
 };

@@ -11,6 +11,13 @@
 // either returns a correct result or throws a typed error within its
 // deadline — never hangs, never corrupts.
 //
+// The decorators forward nativeHandle() and setNonBlocking(), so a
+// wrapped listener or stream stays pollable and the server's epoll
+// reactor runs on it unchanged.  The non-blocking ops (recvNowait,
+// sendvNowait, tryAccept) inject the same faults but never sleep: they
+// run on the reactor thread, so a delay surfaces as one spurious
+// would-block instead (see FaultyStream).
+//
 // A null plan is never wrapped (wrapFaulty returns the stream unchanged)
 // and a no-fault plan short-circuits before drawing any randomness, so
 // the decorator costs nothing when disabled.
@@ -79,8 +86,10 @@ class FaultPlan {
 
   /// True = refuse this connection attempt.
   bool onConnect();
-  OpFault onSend(std::size_t bytes);
-  OpFault onRecv(std::size_t bytes);
+  /// `draw_delay` = false skips the delay draw: the retry of a
+  /// non-blocking op that already surfaced its stall as a would-block.
+  OpFault onSend(std::size_t bytes, bool draw_delay = true);
+  OpFault onRecv(std::size_t bytes, bool draw_delay = true);
 
   /// Faults injected so far (tests assert a schedule actually fired).
   std::uint64_t injectedCount() const {

@@ -19,6 +19,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "transport/inproc_transport.h"
 #include "transport/net_tuning.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -59,6 +60,8 @@ std::int64_t steadyNowUs() {
       .count();
 }
 
+/// A connected stream socket: TCP, or one end of inprocPair()'s AF_UNIX
+/// socketpair (where the TCP_NODELAY request below is a harmless no-op).
 class TcpStream : public Stream {
  public:
   TcpStream(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {
@@ -338,6 +341,13 @@ std::string describe(const sockaddr_in& addr) {
 }
 
 }  // namespace
+
+std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>> inprocPair() {
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) < 0) throwErrno("socketpair");
+  return {std::make_unique<TcpStream>(fds[0], "inproc"),
+          std::make_unique<TcpStream>(fds[1], "inproc")};
+}
 
 std::unique_ptr<Stream> tcpConnect(const std::string& host,
                                    std::uint16_t port,

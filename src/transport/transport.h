@@ -1,8 +1,10 @@
 // Byte-stream transport abstraction under Ninf RPC.
 //
-// Two implementations: real TCP sockets (the paper's deployment) and an
-// in-process pipe (tests and single-process demos).  Both deliver reliable,
-// ordered byte streams; message framing lives one layer up in protocol/.
+// One socket implementation serves real TCP (the paper's deployment) and
+// in-process pairs (an AF_UNIX socketpair, for tests and single-process
+// demos); a fault-injecting decorator can wrap either.  All deliver
+// reliable, ordered byte streams; message framing lives one layer up in
+// protocol/.
 #pragma once
 
 #include <chrono>
@@ -58,9 +60,9 @@ class Stream {
 
   /// Absolute bound for subsequent send/recv operations: an operation
   /// still incomplete when the deadline passes throws ninf::TimeoutError.
-  /// The TCP path polls before each syscall; the inproc path uses timed
-  /// condition waits.  Pass kNoDeadline to disable again.  Like send and
-  /// recv themselves, thread-compatible rather than fully thread-safe.
+  /// Socket streams (TCP and inproc) poll before each syscall.  Pass
+  /// kNoDeadline to disable again.  Like send and recv themselves,
+  /// thread-compatible rather than fully thread-safe.
   virtual void setDeadline(std::chrono::steady_clock::time_point deadline) = 0;
 
   /// Convenience: deadline `seconds` from now; <= 0 disables.
@@ -89,9 +91,9 @@ class Stream {
   //
   // A reactor owning many streams needs (a) a pollable fd to register
   // with epoll and (b) operations that never block the event loop.
-  // Transports that cannot provide them (in-process pipes, fault
-  // decorators) return -1 / false and servers fall back to a
-  // thread-per-connection path for those connections.
+  // Socket streams provide both and the fault decorator forwards them;
+  // the defaults below (-1 / false / throw) suit client-side test
+  // doubles only, and the server's reactor drops such a stream.
 
   /// Pollable OS handle, or -1 when this transport has none.
   virtual int nativeHandle() const { return -1; }
@@ -138,8 +140,7 @@ class Listener {
   virtual void close() = 0;
 
   /// Pollable OS handle for readiness-driven accepting, or -1 when this
-  /// listener cannot expose one (in-process, fault decorators).  A
-  /// server only calls tryAccept() on listeners with a real handle.
+  /// listener has none (NinfServer::start rejects such a listener).
   virtual int nativeHandle() const { return -1; }
 
   /// Non-blocking accept: returns the new stream (status Accepted) or

@@ -88,10 +88,11 @@ TEST(HotPath, FrameAssemblerCompactionIsAmortizedLinear) {
   std::vector<std::uint8_t> wire;
   constexpr int kFrames = 4000;
   for (int i = 0; i < kFrames; ++i) {
-    const auto frame = protocol::flattenFrame(
+    const auto frame = protocol::flattenFramePooled(
         protocol::WireMode::V2, protocol::MessageType::Ping,
         static_cast<std::uint64_t>(i), {}, body);
-    wire.insert(wire.end(), frame.begin(), frame.end());
+    const auto bytes = frame.span();
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
   }
 
   std::size_t frames_out = 0;

@@ -6,9 +6,7 @@
 // disconnects that clean up instead of leaking a blocked reader thread.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,9 +15,8 @@
 #include "client/ninf_api.h"
 #include "common/error.h"
 #include "numlib/ep.h"
-#include "obs/metrics.h"
 #include "protocol/message.h"
-#include "server/reactor.h"
+#include "reactor_probe.h"
 #include "server/server.h"
 #include "transport/tcp_transport.h"
 #include "xdr/xdr.h"
@@ -32,37 +29,10 @@ using client::ninfCall;
 using server::NinfServer;
 using server::Registry;
 
-/// Threads of this process, from /proc/self/status (Linux).
-int processThreadCount() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) {
-      return std::stoi(line.substr(8));
-    }
-  }
-  return -1;
-}
-
-/// Spin until `pred` holds or ~2 s elapse.
-template <typename Pred>
-bool waitFor(Pred pred, double seconds = 2.0) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
-}
-
-double reactorFds() { return obs::gauge("server.reactor.fds").value(); }
-
 /// Reactor-served TCP server fixture.
 class ReactorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(server::Reactor::supported());
     server::registerStandardExecutables(registry_, 2);
     server_.emplace(registry_, options_);
     listener_ = std::make_shared<transport::TcpListener>(0);
@@ -256,18 +226,23 @@ TEST(ReactorBacklog, ExplicitBacklogAcceptsConnections) {
   server.stop();
 }
 
-TEST(ReactorFallback, LegacyPathStillAvailable) {
+/// A listener without a native handle (the Listener defaults).
+class UnpollableListener : public transport::Listener {
+ public:
+  std::unique_ptr<transport::Stream> accept() override { return nullptr; }
+  void close() override {}
+};
+
+TEST(ReactorPrecondition, UnpollableListenerIsRejected) {
   Registry registry;
   server::registerStandardExecutables(registry);
-  NinfServer server(registry, {.workers = 1, .use_reactor = false});
-  auto listener = std::make_shared<transport::TcpListener>(0);
-  const auto port = listener->port();
-  server.start(listener);
-  auto client = NinfClient::connectTcp("127.0.0.1", port);
-  std::vector<double> sums(2), q(10);
-  ninfCall(*client, "ep", std::int64_t{0}, std::int64_t{64}, sums, q);
-  EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 64).sx);
-  client->close();
+  NinfServer server(registry, {.workers = 1});
+  const int before = processThreadCount();
+  // One serving core: no pollable handle means no server, not a
+  // thread-per-connection fallback.
+  EXPECT_THROW(server.start(std::make_shared<UnpollableListener>()),
+               std::logic_error);
+  EXPECT_EQ(processThreadCount(), before);
   server.stop();
 }
 

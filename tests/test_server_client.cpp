@@ -1,6 +1,6 @@
-// End-to-end Ninf RPC: client API against a live server over inproc and
-// real TCP, including the two-stage interface query, the two-phase call
-// protocol (section 5.1), and multi-client concurrency.
+// End-to-end Ninf RPC: client API against a live reactor-served server
+// over loopback TCP, including the two-stage interface query, the
+// two-phase call protocol (section 5.1), and multi-client concurrency.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -12,7 +12,6 @@
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
 #include "server/server.h"
-#include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
 
 namespace ninf {
@@ -24,22 +23,21 @@ using protocol::ArgValue;
 using server::NinfServer;
 using server::Registry;
 
-/// Server + inproc-connected client fixture.
+/// Server + one connected client, both in this process.  The server runs
+/// its production core (the reactor), so the client reaches it over a
+/// loopback TCP listener.
 class InprocRpc : public ::testing::Test {
  protected:
   void SetUp() override {
     server::registerStandardExecutables(registry_, 2);
     server_.emplace(registry_, server::ServerOptions{.workers = 2});
-    auto [client_end, server_end] = transport::inprocPair();
-    client_.emplace(std::move(client_end));
-    server_stream_ = std::move(server_end);
-    server_thread_ = std::thread(
-        [this] { server().serveStream(*server_stream_); });
+    auto listener = std::make_shared<transport::TcpListener>(0);
+    server().start(listener);
+    client_.emplace(transport::tcpConnect("127.0.0.1", listener->port()));
   }
 
   void TearDown() override {
     client().close();
-    server_thread_.join();
     server().stop();
   }
 
@@ -53,8 +51,6 @@ class InprocRpc : public ::testing::Test {
   Registry registry_;
   std::optional<NinfServer> server_;
   std::optional<NinfClient> client_;
-  std::unique_ptr<transport::Stream> server_stream_;
-  std::thread server_thread_;
 };
 
 TEST_F(InprocRpc, QueryInterfaceReturnsCompiledIdl) {

@@ -1,4 +1,4 @@
-// Transports: in-process pipe semantics and real TCP loopback.
+// Transports: in-process socketpair semantics and real TCP loopback.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -101,6 +101,17 @@ TEST(Inproc, RecvSomeThrowsOnceClosedAndDrained) {
   EXPECT_EQ(b->recvSome(buf), 1u);
   EXPECT_EQ(buf[0], 9);
   EXPECT_THROW(b->recvSome(buf), TransportError);
+}
+
+TEST(Inproc, PairIsPollable) {
+  auto [a, b] = inprocPair();
+  EXPECT_GE(a->nativeHandle(), 0);
+  ASSERT_TRUE(a->setNonBlocking(true));
+  std::uint8_t buf[4];
+  EXPECT_EQ(a->recvNowait(buf), 0u);  // empty: would block
+  b->sendAll(bytes({6}));
+  EXPECT_EQ(a->recvNowait(buf), 1u);
+  EXPECT_EQ(buf[0], 6);
 }
 
 TEST(Tcp, LoopbackEcho) {
