@@ -1,13 +1,15 @@
 // Microbenchmarks (google-benchmark): the local kernels underpinning the
 // study — XDR marshalling rate, LU factorization variants, dmmul, EP —
 // so absolute host rates can be compared with the calibrated 1997
-// machine models.
+// machine models; plus the result-cache request digest, which every
+// idempotent call pays over its whole request body.
 #include <benchmark/benchmark.h>
 
 #include "numlib/ep.h"
 #include "numlib/lu.h"
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
+#include "server/result_cache.h"
 #include "xdr/xdr.h"
 
 namespace {
@@ -105,5 +107,21 @@ void BM_EpKernel(benchmark::State& state) {
                           pairs);
 }
 BENCHMARK(BM_EpKernel)->Arg(1 << 12)->Arg(1 << 16);
+
+/// Result-cache key over a request body: 48 B is an ep call, 4 KiB a
+/// small array argument, 1 MiB a dmmul(n=256) / linpack(n=350) request.
+void BM_RequestDigest(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> body(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    body[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server::ResultCache::digestOf(body));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_RequestDigest)->Arg(48)->Arg(4 << 10)->Arg(1 << 20);
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include "common/sync.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <map>
 #include <set>
+#include <span>
+#include <type_traits>
 
 namespace ninf::lockdep {
 
@@ -41,8 +44,40 @@ HandlerSlot& handlerSlot() {
 
 std::atomic<std::uint64_t> g_violations{0};
 
-/// Held lock-class ids of this thread, outermost first.
-thread_local std::vector<std::uint32_t> t_held;
+/// Held lock-class ids of one thread, outermost first.  Trivially
+/// destructible on purpose: a thread-local destructor that takes a lock
+/// (the buffer pool's thread cache) may run after the thread's other
+/// thread-locals are gone, and this storage must still be usable then.
+struct HeldStack {
+  static constexpr std::size_t kMaxDepth = 64;
+  std::array<std::uint32_t, kMaxDepth> ids{};
+  std::size_t depth = 0;
+
+  std::span<const std::uint32_t> held() const { return {ids.data(), depth}; }
+
+  void push(std::uint32_t id) {
+    if (depth == kMaxDepth) {
+      std::fprintf(stderr, "ninf lockdep: more than %zu locks held by one "
+                           "thread\n", kMaxDepth);
+      std::abort();
+    }
+    ids[depth++] = id;
+  }
+
+  /// Drop the innermost entry of class `id`, if held.
+  void remove(std::uint32_t id) {
+    for (std::size_t i = depth; i-- > 0;) {
+      if (ids[i] == id) {
+        std::copy(ids.begin() + i + 1, ids.begin() + depth, ids.begin() + i);
+        --depth;
+        return;
+      }
+    }
+  }
+};
+static_assert(std::is_trivially_destructible_v<HeldStack>);
+
+thread_local HeldStack t_held;
 /// Reentrancy guard: handler callbacks (and any locking they do) must
 /// not re-enter the checker.
 thread_local bool t_busy = false;
@@ -65,7 +100,7 @@ std::uint32_t internLocked(Graph& g, const std::string& name) {
 }
 
 std::string describeStackLocked(const Graph& g,
-                                const std::vector<std::uint32_t>& held,
+                                std::span<const std::uint32_t> held,
                                 std::uint32_t acquiring) {
   std::string s = "thread #" + std::to_string(threadTag()) + " holding [";
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -121,7 +156,7 @@ void report(const Violation& v) {
 bool checkAndRecord(std::uint32_t acquiring, Violation* out) {
   Graph& g = graph();
   std::lock_guard<std::mutex> lock(g.mu);
-  for (const std::uint32_t held : t_held) {
+  for (const std::uint32_t held : t_held.held()) {
     auto& edges = g.out[held];
     if (edges.find(acquiring) != edges.end()) continue;  // known-safe order
     if (held == acquiring) {
@@ -129,7 +164,7 @@ bool checkAndRecord(std::uint32_t acquiring, Violation* out) {
       // there is no defined order between instances, so a parallel
       // thread nesting them the other way deadlocks.
       out->cycle = g.names[held] + " -> " + g.names[acquiring];
-      out->attempted = describeStackLocked(g, t_held, acquiring);
+      out->attempted = describeStackLocked(g, t_held.held(), acquiring);
       out->established =
           "  (self-edge: '" + g.names[held] + "' nested inside itself)\n";
       return true;
@@ -148,14 +183,14 @@ bool checkAndRecord(std::uint32_t acquiring, Violation* out) {
                             g.out[prev][step].site + "\n";
         prev = step;
       }
-      out->attempted = describeStackLocked(g, t_held, acquiring);
+      out->attempted = describeStackLocked(g, t_held.held(), acquiring);
       // Record the edge anyway: the violation is reported once (the
       // next identical acquisition short-circuits on the known edge)
       // and the DFS tolerates cyclic graphs via the visited set.
-      edges[acquiring] = {describeStackLocked(g, t_held, acquiring)};
+      edges[acquiring] = {describeStackLocked(g, t_held.held(), acquiring)};
       return true;
     }
-    edges[acquiring] = {describeStackLocked(g, t_held, acquiring)};
+    edges[acquiring] = {describeStackLocked(g, t_held.held(), acquiring)};
   }
   return false;
 }
@@ -240,7 +275,7 @@ void acquireSlow(Mutex& m) {
   const std::uint32_t id = classIdOf(m);
   Violation v;
   const bool violated = checkAndRecord(id, &v);
-  t_held.push_back(id);
+  t_held.push(id);
   t_busy = false;
   if (violated) {
     t_busy = true;  // the handler may lock ninf mutexes freely
@@ -253,12 +288,7 @@ void releaseSlow(Mutex& m) {
   if (t_busy) return;
   const std::uint32_t id = m.class_id_.load(std::memory_order_acquire);
   if (id == 0) return;  // acquired while the checker was off
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (*it == id) {
-      t_held.erase(std::next(it).base());
-      return;
-    }
-  }
+  t_held.remove(id);
 }
 
 void cvReleaseSlow(Mutex& m) { releaseSlow(m); }
@@ -322,8 +352,8 @@ std::vector<std::string> heldLockNames() {
   Graph& g = graph();
   std::lock_guard<std::mutex> lock(g.mu);
   std::vector<std::string> out;
-  out.reserve(t_held.size());
-  for (const std::uint32_t id : t_held) out.push_back(g.names[id]);
+  out.reserve(t_held.depth);
+  for (const std::uint32_t id : t_held.held()) out.push_back(g.names[id]);
   return out;
 }
 
@@ -332,7 +362,7 @@ void resetGraphForTesting() {
   std::lock_guard<std::mutex> lock(g.mu);
   g.out.clear();
   g_violations.store(0, std::memory_order_relaxed);
-  t_held.clear();
+  t_held.depth = 0;
 }
 
 }  // namespace ninf::lockdep

@@ -9,8 +9,23 @@ namespace ninf::numlib {
 void daxpy(double alpha, std::span<const double> x, std::span<double> y) {
   NINF_REQUIRE(x.size() == y.size(), "daxpy length mismatch");
   if (alpha == 0.0) return;
+  // Reference BLAS daxpy.f form: a clean-up loop for n mod 4, then a
+  // loop unrolled by 4.  Each element still gets exactly one
+  // y + alpha * x, so results are bit-identical to the plain loop.  The
+  // plain loop's speed hinged on its code alignment: moved by 16 bytes
+  // it made LINPACK's factorization up to 1.8x slower, while this form
+  // runs at the same speed at every offset.
   const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  const double* xp = x.data();
+  double* yp = y.data();
+  const std::size_t m = n % 4;
+  for (std::size_t i = 0; i < m; ++i) yp[i] += alpha * xp[i];
+  for (std::size_t i = m; i < n; i += 4) {
+    yp[i] += alpha * xp[i];
+    yp[i + 1] += alpha * xp[i + 1];
+    yp[i + 2] += alpha * xp[i + 2];
+    yp[i + 3] += alpha * xp[i + 3];
+  }
 }
 
 double ddot(std::span<const double> x, std::span<const double> y) {

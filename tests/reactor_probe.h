@@ -1,6 +1,9 @@
 // Observation helpers for tests of the reactor-served server: process
-// thread count, the reactor's connection gauge, and a bounded wait.
+// thread count, resident memory and CPU time, the reactor's connection
+// gauge, and a bounded wait.
 #pragma once
+
+#include <time.h>
 
 #include <chrono>
 #include <fstream>
@@ -11,16 +14,32 @@
 
 namespace ninf {
 
-/// Threads of this process, from /proc/self/status (Linux).
-inline int processThreadCount() {
+/// Numeric value of one /proc/self/status field (Linux), or -1.
+inline double procStatusValue(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) {
-      return std::stoi(line.substr(8));
-    }
+    if (line.rfind(field, 0) == 0) return std::stod(line.substr(field.size()));
   }
-  return -1;
+  return -1.0;
+}
+
+/// Threads of this process.
+inline int processThreadCount() {
+  return static_cast<int>(procStatusValue("Threads:"));
+}
+
+/// Resident set size of this process in bytes (VmRSS), or -1.
+inline double processRssBytes() {
+  const double kb = procStatusValue("VmRSS:");
+  return kb < 0 ? -1.0 : kb * 1024.0;
+}
+
+/// CPU time consumed by every thread of this process, in seconds.
+inline double processCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// Spin until `pred` holds or `seconds` elapse.

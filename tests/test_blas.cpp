@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "numlib/blas.h"
@@ -13,6 +16,33 @@ TEST(Blas, Daxpy) {
   std::vector<double> y = {10, 20, 30};
   daxpy(2.0, x, y);
   EXPECT_EQ(y, (std::vector<double>{12, 24, 36}));
+}
+
+TEST(Blas, DaxpyUnrolledIsBitIdenticalToTheScalarLoop) {
+  // daxpy runs a clean-up loop and then a loop unrolled by 4; each
+  // element must still get exactly one y + alpha * x, for every n mod 4
+  // and every start offset, and nothing outside the span may change.
+  constexpr std::size_t kLen = 80;
+  std::vector<double> xs(kLen), ys(kLen);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    xs[i] = std::sin(static_cast<double>(i) + 0.5) * 1e3 / (1.0 + i);
+    ys[i] = std::cos(static_cast<double>(i) * 1.7) * 3.0 - 1e-3 * i;
+  }
+  const double alpha = -0.7310585786300049;
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t n = 0; n <= 67; ++n) {
+      std::vector<double> got = ys;
+      std::vector<double> want = ys;
+      daxpy(alpha, std::span<const double>(xs.data() + offset, n),
+            std::span<double>(got.data() + offset, n));
+      for (std::size_t i = offset; i < offset + n; ++i) {
+        want[i] += alpha * xs[i];
+      }
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), kLen * sizeof(double)),
+                0)
+          << "n=" << n << " offset=" << offset;
+    }
+  }
 }
 
 TEST(Blas, DaxpyZeroAlphaIsNoop) {
