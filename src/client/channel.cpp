@@ -26,11 +26,6 @@ void bumpInflight(long delta) {
   gauge.set(static_cast<double>(g_inflight.fetch_add(delta) + delta));
 }
 
-/// Frames at or below this flattened size ride the group-commit batch
-/// path; larger bodies (bulk array arguments) keep the direct
-/// scatter-gather send, which already amortizes its syscall.
-constexpr std::size_t kBatchableFrameBytes = 16 * 1024;
-
 }  // namespace
 
 Channel::Channel(std::unique_ptr<transport::Stream> stream, bool force_v1)
@@ -312,7 +307,7 @@ Channel::Reply Channel::transactV2(
     {
       // Provisional send-start stamp.  The reply cannot arrive before the
       // request frame is written, so the reader always observes a nonzero
-      // sent_us even when it wins the post-send re-lock below.
+      // sent_us even when it wins the post-send re-stamp.
       LockGuard p(pending_mutex_);
       call->sent_us = obs::Tracer::nowMicros();
     }
@@ -322,24 +317,25 @@ Channel::Reply Channel::transactV2(
     const protocol::WireMode wire_mode =
         traced ? protocol::WireMode::V2Traced : protocol::WireMode::V2;
     if (protocol::headerBytes(wire_mode) + body.size() <=
-        kBatchableFrameBytes) {
+        common::kSmallFrameBytes) {
       // Small call: flatten once and group-commit with its concurrent
       // siblings — under high in-flight counts many frames share one
       // writev instead of contending for send_mutex_ one syscall each.
+      // The flusher re-stamps sent_us once the frame is on the wire.
       sendV2Batched(
-          protocol::flattenFramePooled(wire_mode, type, id, wctx, body));
+          id, protocol::flattenFramePooled(wire_mode, type, id, wctx, body));
     } else {
-      LockGuard g(send_mutex_);
-      if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
-        throw TransportError("channel broken");
+      {
+        LockGuard g(send_mutex_);
+        if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
+          throw TransportError("channel broken");
+        }
+        if (traced) {
+          protocol::sendMessageV2Traced(*wire_, type, id, wctx, body);
+        } else {
+          protocol::sendMessageV2(*wire_, type, id, body);
+        }
       }
-      if (traced) {
-        protocol::sendMessageV2Traced(*wire_, type, id, wctx, body);
-      } else {
-        protocol::sendMessageV2(*wire_, type, id, body);
-      }
-    }
-    {
       LockGuard p(pending_mutex_);
       auto it = pending_.find(id);
       if (it != pending_.end()) it->second->sent_us = obs::Tracer::nowMicros();
@@ -351,10 +347,7 @@ Channel::Reply Channel::transactV2(
       LockGuard p(pending_mutex_);
       broken_.store(true, std::memory_order_release);
     }
-    {
-      LockGuard setup(setup_mutex_);
-      if (stream_) stream_->close();
-    }
+    closeIfBroken();
     throw;
   }
 
@@ -411,37 +404,34 @@ Channel::Reply Channel::transactV2(
   }
 }
 
-void Channel::sendV2Batched(common::PooledBuffer frame) {
+void Channel::sendV2Batched(std::uint64_t call_id,
+                            common::PooledBuffer frame) {
   static obs::Counter& flushes = obs::counter("channel.batch.flushes");
   static obs::Counter& batched = obs::counter("channel.batch.frames");
   static obs::Histogram& per_writev =
       obs::histogram("channel.batch.frames_per_writev");
 
-  auto item = std::make_shared<BatchItem>();
-  item->frame = std::move(frame);
   UniqueLock b(batch_mutex_);
   if (broken_.load(std::memory_order_acquire)) {
     throw TransportError("channel broken");
   }
-  batch_queue_.push_back(item);
-  if (batch_flusher_active_) {
-    // A flusher is on the wire; it owns this frame now.  It marks the
-    // item done (success or error) before it retires, so this wait
-    // cannot be missed.
-    batch_cv_.wait(b, [&] { return item->done; });
-    if (item->error) std::rethrow_exception(item->error);
-    return;
-  }
+  batch_queue_.push_back(BatchItem{std::move(frame), call_id});
+  // A flusher is on the wire; it owns this frame now.  Should its wave
+  // fail, it closes the stream and the reader fails this call.
+  if (batch_flusher_active_) return;
 
+  // The queue is empty whenever no flusher is active, so this caller's
+  // frame leads the first wave.
   batch_flusher_active_ = true;
+  bool first_wave = true;
+  std::vector<BatchItem> wave;
   while (!batch_queue_.empty()) {
     // Collect one writev's worth under the lock...
     const common::BatchLimits limits = common::batchLimits();
-    std::vector<std::shared_ptr<BatchItem>> wave;
     std::size_t wave_bytes = 0;
     while (!batch_queue_.empty() && wave.size() < limits.max_iov &&
            (wave.empty() || wave_bytes < limits.max_bytes)) {
-      wave_bytes += batch_queue_.front()->frame.size();
+      wave_bytes += batch_queue_.front().frame.size();
       wave.push_back(std::move(batch_queue_.front()));
       batch_queue_.pop_front();
     }
@@ -449,7 +439,6 @@ void Channel::sendV2Batched(common::PooledBuffer frame) {
     // ...then send it outside, so late arrivals queue behind us instead
     // of blocking — they are the next wave.
     std::exception_ptr err;
-    std::size_t sent = 0;
     try {
       LockGuard g(send_mutex_);
       if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
@@ -457,7 +446,7 @@ void Channel::sendV2Batched(common::PooledBuffer frame) {
       }
       std::array<std::span<const std::uint8_t>, 64> iov;
       const std::size_t count = std::min(wave.size(), iov.size());
-      for (std::size_t i = 0; i < count; ++i) iov[i] = wave[i]->frame.span();
+      for (std::size_t i = 0; i < count; ++i) iov[i] = wave[i].frame.span();
       NINF_TIDY_SUPPRESS(
           "metrics-under-lock",
           "the wire write IS the send_mutex_ critical section; the "
@@ -465,37 +454,49 @@ void Channel::sendV2Batched(common::PooledBuffer frame) {
           "bumped with one relaxed atomic add, so the obs registry lock "
           "is only touched on the very first send");
       wire_->sendv({iov.data(), count});
-      sent = count;
     } catch (...) {
       err = std::current_exception();
     }
-    // Batch accounting runs after send_mutex_ drops: the obs registry
-    // lock must never nest inside the wire lock other senders spin on.
-    if (sent > 0) {
-      flushes.add();
-      batched.add(sent);
-      per_writev.observe(static_cast<double>(sent));
-    }
-    b.lock();
-    for (auto& w : wave) {
-      w->done = true;
-      w->error = err;
-    }
     if (err) {
-      // A partial writev poisons the wire for everything queued behind
-      // it too — the callers re-surface this via their own cleanup.
-      for (auto& q : batch_queue_) {
-        q->done = true;
-        q->error = err;
-      }
+      b.lock();
+      // Broken before batch_mutex_ drops, so no frame joins the queue of
+      // a failed wave.  Every frame already queued is dropped; closing
+      // the stream makes the reader fail its call (and this wave's).
+      broken_.store(true, std::memory_order_release);
       batch_queue_.clear();
+      batch_flusher_active_ = false;
+      b.unlock();
+      closeIfBroken();
+      // This caller's own frame went out with an earlier wave: its reply
+      // may already be in, so it waits on the future like everyone else.
+      if (first_wave) std::rethrow_exception(err);
+      return;
     }
-    batch_cv_.notify_all();
-    if (err) break;
+    // Bookkeeping runs after send_mutex_ drops: the obs registry lock
+    // must never nest inside the wire lock other senders spin on.
+    const double sent_at = obs::Tracer::nowMicros();
+    {
+      LockGuard p(pending_mutex_);
+      for (const BatchItem& w : wave) {
+        auto it = pending_.find(w.call_id);
+        if (it != pending_.end()) it->second->sent_us = sent_at;
+      }
+    }
+    flushes.add();
+    batched.add(wave.size());
+    per_writev.observe(static_cast<double>(wave.size()));
+    first_wave = false;
+    wave.clear();  // recycle the slabs before the next wave, off the lock
+    b.lock();
   }
   batch_flusher_active_ = false;
-  b.unlock();
-  if (item->error) std::rethrow_exception(item->error);
+}
+
+void Channel::closeIfBroken() {
+  // After a reconnect, broken_ is false again and stream_ is the new
+  // connection, which must not be closed on the old one's behalf.
+  LockGuard setup(setup_mutex_);
+  if (broken_.load(std::memory_order_acquire) && stream_) stream_->close();
 }
 
 void Channel::erasePending(std::uint64_t id) {

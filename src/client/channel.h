@@ -9,7 +9,9 @@
 //    64-bit call ID, requests are pipelined through a send mutex, and a
 //    dedicated reader thread demultiplexes replies — which may return in
 //    any order — into per-call promises.  One connection sustains as many
-//    concurrent in-flight calls as the server has workers.
+//    concurrent in-flight calls as the server has workers.  Small
+//    request frames group-commit (sendV2Batched): a caller never waits
+//    for another caller's writev, only for its own reply.
 //  * v1 (the peer never acked, or force_v1): the classic lock-step
 //    exchange, one call at a time, serialized on the channel.
 //
@@ -174,17 +176,24 @@ class Channel {
   void readerLoop(transport::Stream* stream, bool traced);
   /// Mark broken and fail every pending call with `error`.
   void failAllPending(std::exception_ptr error);
+  /// Close the stream if the channel is still broken.  A reconnect since
+  /// the failure cleared broken_, and the new stream stays open.
+  void closeIfBroken();
   /// Remove one pending entry (if still present) and update the gauge.
   void erasePending(std::uint64_t id);
 
-  /// Group-commit send of one small pre-flattened v2 frame: the frame
-  /// joins the batch queue, and the first enqueuer becomes the flusher —
-  /// it collects every frame queued by concurrent callers (bounded by
-  /// common::batchLimits()) and writes them with ONE sendv while later
-  /// arrivals keep queueing, then wakes the owners.  Returns once this
-  /// frame is on the wire; throws TransportError (exactly like a direct
-  /// send) if its flush failed.
-  void sendV2Batched(common::PooledBuffer frame);
+  /// Group-commit send of call `call_id`'s small pre-flattened v2 frame
+  /// (common::kSmallFrameBytes).  The frame joins the batch queue.  When
+  /// a flush is already in progress, that flusher owns the frame and
+  /// this returns at once: the caller waits only on its reply.
+  /// Otherwise this caller becomes the flusher: it writes every queued
+  /// frame in waves of ONE sendv each (bounded by common::batchLimits())
+  /// while later arrivals keep queueing, and stamps each frame's
+  /// sent_us once its wave is on the wire.  A failed wave breaks the
+  /// channel, drops every queued frame and closes the stream, so the
+  /// reader fails each of those calls with TransportError; the flusher
+  /// itself throws only if its own frame's wave failed.
+  void sendV2Batched(std::uint64_t call_id, common::PooledBuffer frame);
 
   /// Serializes connection setup / negotiation / teardown, and the whole
   /// exchange in v1 mode.  Lock order: setup -> send -> pending.
@@ -214,13 +223,10 @@ class Channel {
   /// never parked behind wire I/O (that is the group commit).
   struct BatchItem {
     common::PooledBuffer frame;
-    bool done = false;  // guarded by the owning channel's batch_mutex_
-    std::exception_ptr error;
+    std::uint64_t call_id = 0;
   };
   Mutex batch_mutex_{"channel.batch"};
-  CondVar batch_cv_;
-  std::deque<std::shared_ptr<BatchItem>> batch_queue_
-      NINF_GUARDED_BY(batch_mutex_);
+  std::deque<BatchItem> batch_queue_ NINF_GUARDED_BY(batch_mutex_);
   bool batch_flusher_active_ NINF_GUARDED_BY(batch_mutex_) = false;
   Mutex pending_mutex_ NINF_ACQUIRED_AFTER(send_mutex_){"channel.pending"};
   std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending_

@@ -13,6 +13,14 @@
 
 namespace ninf::common {
 
+/// The one definition of a small frame: header plus body at most this
+/// many bytes.  The client group-commits small request frames; larger
+/// ones (bulk array arguments) keep the direct scatter-gather send,
+/// which already amortizes its syscall.  The server runs a small
+/// request's prologue inline on its reactor thread; a larger one's is
+/// a worker job, so a multi-megabyte decode never stalls the loop.
+inline constexpr std::size_t kSmallFrameBytes = 16 * 1024;
+
 struct BatchLimits {
   /// Frames coalesced per flush, clamped to [1, 64].  1 disables
   /// batching (one syscall per frame, the pre-batching behaviour).

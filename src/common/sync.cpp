@@ -215,8 +215,9 @@ void declareCanonicalHierarchy() {
   declareOrder({"channel.send", "faultplan", "obs.registry"});
   // Reactor: the solo hand-off queue is a strict leaf — postSolo writes
   // the wakeup eventfd under it but never takes another lock, and the
-  // reactor thread drains it via swap so solo tasks (which do take the
-  // pending/queue/metrics locks) run with it released.
+  // reactor thread drains it via swap so solo tasks and the inline
+  // prologue (which take the pending/queue/metrics locks) run with it
+  // released.
   declareOrder({"server.pending", "server.reactor.solo"});
   declareOrder({"jobqueue", "server.reactor.solo"});
   // Leaf instruments.

@@ -30,15 +30,21 @@ const char* queuePolicyName(QueuePolicy p) {
 }
 
 void JobQueue::push(Job job) {
+  const bool open = tryPush(std::move(job));
+  NINF_REQUIRE(open, "push to closed job queue");
+}
+
+bool JobQueue::tryPush(Job job) {
   std::size_t depth = 0;
   {
     LockGuard lock(mutex_);
-    NINF_REQUIRE(!closed_, "push to closed job queue");
-    jobs_.push_back(std::move(job));
-    depth = jobs_.size();
+    if (closed_) return false;
+    (job.prologue ? prologues_ : jobs_).push_back(std::move(job));
+    depth = prologues_.size() + jobs_.size();
   }
   depth_gauge_.set(static_cast<double>(depth));
   cv_.notify_one();
+  return true;
 }
 
 std::size_t JobQueue::pickIndex() const {
@@ -64,12 +70,21 @@ std::size_t JobQueue::pickIndex() const {
 
 std::optional<Job> JobQueue::pop() {
   UniqueLock lock(mutex_);
-  cv_.wait(lock, [this] { return closed_ || !jobs_.empty(); });
-  if (jobs_.empty()) return std::nullopt;
-  const std::size_t idx = pickIndex();
-  Job job = std::move(jobs_[idx]);
-  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(idx));
-  const std::size_t depth = jobs_.size();
+  cv_.wait(lock, [this] {
+    return closed_ || !prologues_.empty() || !jobs_.empty();
+  });
+  Job job;
+  if (!prologues_.empty()) {
+    job = std::move(prologues_.front());
+    prologues_.pop_front();
+  } else if (!jobs_.empty()) {
+    const std::size_t idx = pickIndex();
+    job = std::move(jobs_[idx]);
+    jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(idx));
+  } else {
+    return std::nullopt;
+  }
+  const std::size_t depth = prologues_.size() + jobs_.size();
   lock.unlock();
   depth_gauge_.set(static_cast<double>(depth));
   return job;
@@ -77,7 +92,7 @@ std::optional<Job> JobQueue::pop() {
 
 std::size_t JobQueue::depth() const {
   LockGuard lock(mutex_);
-  return jobs_.size();
+  return prologues_.size() + jobs_.size();
 }
 
 void JobQueue::close() {

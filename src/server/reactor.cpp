@@ -33,6 +33,14 @@ double monotonicSeconds() {
       .count();
 }
 
+/// Resolved once: a by-name lookup allocates its key and takes the obs
+/// registry lock, and the epilogue gauge moves on every reply.
+obs::Gauge& epilogueDepthGauge() {
+  static obs::Gauge& gauge =
+      obs::gauge("server.reactor.stage_depth.epilogue");
+  return gauge;
+}
+
 }  // namespace
 
 Reactor::Reactor(NinfServer& server,
@@ -118,8 +126,9 @@ void Reactor::drainSolo() {
     LockGuard g(solo_mutex_);
     batch.swap(solo_queue_);
   }
-  obs::gauge("server.reactor.stage_depth.solo")
-      .set(static_cast<double>(batch.size()));
+  static obs::Gauge& solo_depth =
+      obs::gauge("server.reactor.stage_depth.solo");
+  solo_depth.set(static_cast<double>(batch.size()));
   for (auto& fn : batch) fn();
 }
 
@@ -321,9 +330,6 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
         ++conn.staged_inflight;
         ++staged_total_;
         if (conn.mode == WireMode::V1) conn.v1_busy = true;
-        static obs::Gauge& prologue =
-            obs::gauge("server.reactor.stage_depth.prologue");
-        prologue.set(prologue.value() + 1.0);
         server_.reactorStageCall(conn.id, conn.mode, std::move(frame));
         return;
       }
@@ -386,8 +392,7 @@ void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame) {
   if (it == conns_.end() || it->second.dead) return;
   it->second.writeq.push_back(OutBuf{std::move(frame), 0});
   ++epilogue_depth_;
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  epilogueDepthGauge().set(static_cast<double>(epilogue_depth_));
   // No immediate flush: frames queued in the same wakeup burst coalesce
   // into one writev at the end of the loop iteration (flushPending).
   markFlush(it->second);
@@ -415,11 +420,6 @@ void Reactor::finishStagedCall(std::uint64_t conn_id,
   if (!conn.dead && !conn.paused) processFrames(conn);
   resumeReads();
   maybeDestroy(conn_id);
-}
-
-bool Reactor::connAlive(std::uint64_t conn_id) const {
-  auto it = conns_.find(conn_id);
-  return it != conns_.end() && !it->second.dead;
 }
 
 void Reactor::markFlush(Conn& conn) {
@@ -490,8 +490,7 @@ void Reactor::flushConn(Conn& conn) {
       }
     }
   }
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  epilogueDepthGauge().set(static_cast<double>(epilogue_depth_));
   const bool want_write = !conn.writeq.empty();
   if (want_write != conn.want_write) {
     conn.want_write = want_write;
@@ -575,13 +574,13 @@ void Reactor::destroyConn(std::uint64_t conn_id) {
   epilogue_depth_ -= std::min(epilogue_depth_, conn.writeq.size());
   conns_.erase(it);
   updateFdGauge();
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  epilogueDepthGauge().set(static_cast<double>(epilogue_depth_));
   resumeReads();
 }
 
 void Reactor::updateFdGauge() const {
-  obs::gauge("server.reactor.fds").set(static_cast<double>(conns_.size()));
+  static obs::Gauge& fds = obs::gauge("server.reactor.fds");
+  fds.set(static_cast<double>(conns_.size()));
 }
 
 }  // namespace ninf::server

@@ -6,7 +6,8 @@
 // digest of the raw CallRequest body bytes (entry name + marshalled IN
 // data), which makes "identical call" mean "byte-identical request" --
 // no IDL-aware canonicalisation.  Every idempotent call pays the digest
-// over its whole body on a worker, so it reads words, not bytes.  A hit
+// over its whole body in its prologue (on the reactor thread for a small
+// request), so it reads words, not bytes.  A hit
 // compares digests only, never bodies, so the digest is keyed with a
 // per-process secret: a client that cannot compute the lane states
 // cannot build a body that collides with another client's call.

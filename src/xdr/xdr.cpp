@@ -307,6 +307,9 @@ void Decoder::readBytes(std::span<std::uint8_t> out) {
     throw ProtocolError("XDR underflow: need " + std::to_string(out.size()) +
                         " bytes, have " + std::to_string(remainingBytes()));
   }
+  // An empty span (an empty string or opaque) may carry a null pointer,
+  // which memcpy must never see, even for a zero-byte copy.
+  if (out.empty()) return;
   std::memcpy(out.data(), data_.data() + pos_, out.size());
   pos_ += out.size();
 }

@@ -72,6 +72,30 @@ TEST(JobQueue, SjfTreatsUnknownAsLongest) {
   EXPECT_EQ(q.pop()->id, 3u);
 }
 
+Job makePrologue(std::uint64_t id) {
+  Job j = makeJob(id, 0);
+  j.prologue = true;
+  return j;
+}
+
+TEST(JobQueue, ProloguesRunAheadOfComputeUnderBothPolicies) {
+  // A prologue decodes a request whose estimate is not known yet; it
+  // must not rank as "unknown, longest" behind hinted compute jobs.
+  for (const QueuePolicy policy : {QueuePolicy::Fcfs, QueuePolicy::Sjf}) {
+    JobQueue q(policy);
+    q.push(makeJob(1, 10));
+    q.push(makeJob(2, 5));
+    q.push(makePrologue(3));
+    q.push(makePrologue(4));
+    EXPECT_EQ(q.depth(), 4u);
+    EXPECT_EQ(q.pop()->id, 3u) << queuePolicyName(policy);
+    EXPECT_EQ(q.pop()->id, 4u) << queuePolicyName(policy);
+    // Compute jobs keep their policy order.
+    EXPECT_EQ(q.pop()->id, policy == QueuePolicy::Fcfs ? 1u : 2u);
+    EXPECT_EQ(q.pop()->id, policy == QueuePolicy::Fcfs ? 2u : 1u);
+  }
+}
+
 TEST(JobQueue, DepthTracksContents) {
   JobQueue q;
   EXPECT_EQ(q.depth(), 0u);
@@ -111,6 +135,15 @@ TEST(JobQueue, PushAfterCloseThrows) {
   JobQueue q;
   q.close();
   EXPECT_THROW(q.push(makeJob(1, 0)), std::logic_error);
+}
+
+TEST(JobQueue, TryPushAfterCloseDropsTheJob) {
+  JobQueue q;
+  EXPECT_TRUE(q.tryPush(makeJob(1, 0)));
+  q.close();
+  EXPECT_FALSE(q.tryPush(makePrologue(2)));
+  EXPECT_EQ(q.pop()->id, 1u);
+  EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(JobQueue, PolicyNames) {
