@@ -229,20 +229,59 @@ void Channel::fallbackToV1Locked(const char* why) {
   negotiated_version_.store(protocol::kVersion, std::memory_order_release);
 }
 
-Channel::Reply Channel::transact(MessageType type, const xdr::Encoder& body,
-                                 Consumer consumer,
-                                 std::chrono::steady_clock::time_point
-                                     deadline) {
+Channel::Pending Channel::start(MessageType type, const xdr::Encoder& body,
+                                Consumer consumer,
+                                std::chrono::steady_clock::time_point
+                                    deadline) {
   UniqueLock setup(setup_mutex_);
   NINF_TIDY_SUPPRESS("metrics-under-lock",
                      "reconnect is the cold path and its only metric is "
                      "a pre-resolved counter bump");
   ensureReadyLocked(deadline);
   if (mode_ == Mode::V1) {
-    return transactV1Locked(type, body, consumer, deadline);
+    Pending done;
+    done.done_ = transactV1Locked(type, body, consumer, deadline);
+    return done;
   }
   setup.unlock();
-  return transactV2(type, body, std::move(consumer), deadline);
+  return startV2(type, body, std::move(consumer), deadline);
+}
+
+Channel::Reply Channel::transact(MessageType type, const xdr::Encoder& body,
+                                 Consumer consumer,
+                                 std::chrono::steady_clock::time_point
+                                     deadline) {
+  return start(type, body, std::move(consumer), deadline).wait();
+}
+
+Channel::Pending::Pending(Pending&& other) noexcept
+    : channel_(std::exchange(other.channel_, nullptr)),
+      id_(other.id_),
+      reply_(std::move(other.reply_)),
+      deadline_(other.deadline_),
+      done_(other.done_) {}
+
+Channel::Pending& Channel::Pending::operator=(Pending&& other) noexcept {
+  if (this != &other) {
+    if (channel_ != nullptr) channel_->abandon(id_, reply_);
+    channel_ = std::exchange(other.channel_, nullptr);
+    id_ = other.id_;
+    reply_ = std::move(other.reply_);
+    deadline_ = other.deadline_;
+    done_ = other.done_;
+  }
+  return *this;
+}
+
+Channel::Pending::~Pending() {
+  if (channel_ != nullptr) channel_->abandon(id_, reply_);
+}
+
+Channel::Reply Channel::Pending::wait() {
+  if (channel_ == nullptr) return done_;
+  // Collected (or failed) from here on: nothing is left to abandon.
+  Channel* channel = std::exchange(channel_, nullptr);
+  return channel->awaitV2(id_, reply_, deadline_);
 }
 
 Channel::Reply Channel::transactV1Locked(
@@ -283,7 +322,7 @@ Channel::Reply Channel::transactV1Locked(
   }
 }
 
-Channel::Reply Channel::transactV2(
+Channel::Pending Channel::startV2(
     MessageType type, const xdr::Encoder& body, Consumer consumer,
     std::chrono::steady_clock::time_point deadline) {
   auto call = std::make_shared<PendingCall>();
@@ -351,21 +390,22 @@ Channel::Reply Channel::transactV2(
     throw;
   }
 
+  Pending pending;
+  pending.channel_ = this;
+  pending.id_ = id;
+  pending.reply_ = std::move(fut);
+  pending.deadline_ = deadline;
+  return pending;
+}
+
+Channel::Reply Channel::awaitV2(std::uint64_t id, std::future<Reply>& fut,
+                                std::chrono::steady_clock::time_point
+                                    deadline) {
   if (deadline == transport::Stream::kNoDeadline) return fut.get();
   if (fut.wait_until(deadline) == std::future_status::ready) return fut.get();
-  bool abandoned = false;
-  {
-    LockGuard g(pending_mutex_);
-    auto it = pending_.find(id);
-    if (it != pending_.end() && it->second->state == PendingCall::Waiting) {
-      // Reply never started arriving: abandon just this call (the reader
-      // drains the late reply as an orphan) and leave the channel alone.
-      pending_.erase(it);
-      abandoned = true;
-    }
-  }
-  if (abandoned) {
-    bumpInflight(-1);
+  if (abandonIfWaiting(id)) {
+    // Reply never started arriving: abandon just this call and leave the
+    // channel alone.
     static obs::Counter& timeouts = obs::counter("channel.call_timeouts");
     timeouts.add();
     throw TimeoutError("no reply within deadline (call " +
@@ -375,26 +415,10 @@ Channel::Reply Channel::transactV2(
   // finished): see the reply through rather than abandon live memory —
   // but only for a bounded grace window.  A peer stalled mid-body would
   // otherwise wedge the reader in recv and this caller in get() forever.
-  const auto grace =
-      deadline +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              mid_reply_grace_s_.load(std::memory_order_relaxed)));
-  if (fut.wait_until(grace) == std::future_status::ready) return fut.get();
-  // Stalled mid-frame: part of this reply's body is missing, so the wire
-  // can never be realigned — the connection is poisoned for every call.
-  // Break it and close the stream; the wedged reader wakes with a
-  // transport error and fails the remaining in-flight calls.
-  {
-    LockGuard g(pending_mutex_);
-    if (pending_.find(id) == pending_.end()) return fut.get();  // just done
-    broken_.store(true, std::memory_order_release);
-  }
-  static obs::Counter& stalls = obs::counter("channel.mid_reply_stalls");
-  stalls.add();
-  {
-    LockGuard setup(setup_mutex_);
-    if (stream_) stream_->close();
+  if (fut.wait_until(deadline + midReplyGrace()) ==
+          std::future_status::ready ||
+      !breakStalled(id)) {
+    return fut.get();
   }
   try {
     return fut.get();
@@ -402,6 +426,49 @@ Channel::Reply Channel::transactV2(
     throw TimeoutError("reply stalled mid-body past deadline (call " +
                        std::to_string(id) + ")");
   }
+}
+
+void Channel::abandon(std::uint64_t id, std::future<Reply>& fut) noexcept {
+  if (abandonIfWaiting(id)) return;
+  // Being decoded into memory the dropped exchange owns: see it through
+  // within the grace window, else break the channel, and return only
+  // once the reader has let go of that memory.
+  if (fut.wait_for(midReplyGrace()) != std::future_status::ready) {
+    breakStalled(id);
+  }
+  fut.wait();
+}
+
+bool Channel::abandonIfWaiting(std::uint64_t id) {
+  {
+    LockGuard g(pending_mutex_);
+    auto it = pending_.find(id);
+    if (it == pending_.end() || it->second->state != PendingCall::Waiting) {
+      return false;
+    }
+    pending_.erase(it);
+  }
+  bumpInflight(-1);
+  return true;
+}
+
+bool Channel::breakStalled(std::uint64_t id) {
+  {
+    LockGuard g(pending_mutex_);
+    if (pending_.find(id) == pending_.end()) return false;  // just done
+    broken_.store(true, std::memory_order_release);
+  }
+  static obs::Counter& stalls = obs::counter("channel.mid_reply_stalls");
+  stalls.add();
+  LockGuard setup(setup_mutex_);
+  if (stream_) stream_->close();
+  return true;
+}
+
+std::chrono::steady_clock::duration Channel::midReplyGrace() const {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(
+          mid_reply_grace_s_.load(std::memory_order_relaxed)));
 }
 
 void Channel::sendV2Batched(std::uint64_t call_id,

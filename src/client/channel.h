@@ -61,12 +61,12 @@ class Channel {
   };
 
   /// Invoked once with the reply header and a Source positioned at the
-  /// reply body.  Runs on the calling thread in v1 mode and on the
-  /// channel's reader thread in v2 mode — the caller is parked on the
-  /// reply future either way, so decoding into caller-owned memory is
-  /// safe.  May throw: unread body bytes are drained to keep framing
-  /// aligned and the exception surfaces from transact() without harming
-  /// the connection.
+  /// reply body.  Runs inside start() on the calling thread in v1 mode,
+  /// and on the channel's reader thread in v2 mode, always before the
+  /// exchange's wait() returns — so decoding into memory that outlives
+  /// the exchange is safe.  May throw: unread body bytes are drained to
+  /// keep framing aligned and the exception surfaces from the exchange
+  /// without harming the connection.
   using Consumer = std::function<void(const Reply&, xdr::Source&)>;
 
   /// Adopt an established stream.  force_v1 skips negotiation entirely
@@ -91,10 +91,51 @@ class Channel {
   /// Default 0.25 s; tests shrink it.
   void setMidReplyGrace(double seconds);
 
-  /// One request/reply exchange: send `body` as a `type` frame, deliver
-  /// the reply to `consumer`, return the reply header.  `deadline`
-  /// (absolute, Stream::kNoDeadline = unbounded) bounds the whole
-  /// exchange including negotiation; expiry throws TimeoutError.
+  /// An exchange whose request is sent and whose reply is not yet
+  /// collected, as returned by start().  wait() collects it once, under
+  /// the deadline the exchange started with.  Destroying a Pending that
+  /// was never waited on abandons its call the way a timed-out waiter
+  /// does, without counting a timeout: a reply that has not begun to
+  /// arrive is drained as an orphan, and one already being decoded is
+  /// seen through within the mid-reply grace window.  The channel must
+  /// outlive every Pending it returned.
+  class Pending {
+   public:
+    Pending() = default;
+    Pending(Pending&& other) noexcept;
+    Pending& operator=(Pending&& other) noexcept;
+    Pending(const Pending&) = delete;
+    Pending& operator=(const Pending&) = delete;
+    ~Pending();
+
+    /// The reply header; throws what the exchange failed with.
+    Reply wait() NINF_BLOCKING;
+
+   private:
+    friend class Channel;
+    /// Set while a v2 reply is outstanding; null once collected and for
+    /// v1, whose lock-step exchange already ran inside start().
+    Channel* channel_ = nullptr;
+    std::uint64_t id_ = 0;
+    std::future<Reply> reply_;
+    std::chrono::steady_clock::time_point deadline_{};
+    Reply done_;
+  };
+
+  /// Send half of one request/reply exchange: send `body` as a `type`
+  /// frame and return without waiting for the reply, which is delivered
+  /// to `consumer`.  `deadline` (absolute, Stream::kNoDeadline =
+  /// unbounded) bounds the whole exchange including negotiation.  In v1
+  /// mode the lock-step exchange runs here and wait() returns its
+  /// result.  `consumer` may run after the caller's frame is gone, so
+  /// whatever it writes to must outlive the Pending.
+  Pending start(protocol::MessageType type, const xdr::Encoder& body,
+                Consumer consumer,
+                std::chrono::steady_clock::time_point deadline =
+                    transport::Stream::kNoDeadline) NINF_BLOCKING;
+
+  /// One request/reply exchange, start(...).wait(): expiry of
+  /// `deadline` throws TimeoutError.
   Reply transact(protocol::MessageType type, const xdr::Encoder& body,
                  Consumer consumer,
                  std::chrono::steady_clock::time_point deadline =
@@ -133,12 +174,12 @@ class Channel {
   bool broken() const { return broken_.load(std::memory_order_acquire); }
 
   /// Tear down a broken connection (join the reader, drop the stream) so
-  /// the next transact() reconnects.  No-op while healthy — a v2 call
+  /// the next exchange reconnects.  No-op while healthy — a v2 call
   /// that merely timed out must not kill its siblings' connection.
   void resetIfBroken();
 
   /// Close the connection; in-flight calls fail with TransportError.  A
-  /// later transact() may revive the channel through the factory.
+  /// later exchange may revive the channel through the factory.
   void close();
 
  private:
@@ -169,9 +210,24 @@ class Channel {
                          const Consumer& consumer,
                          std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
-  Reply transactV2(protocol::MessageType type, const xdr::Encoder& body,
-                   Consumer consumer,
-                   std::chrono::steady_clock::time_point deadline);
+  Pending startV2(protocol::MessageType type, const xdr::Encoder& body,
+                  Consumer consumer,
+                  std::chrono::steady_clock::time_point deadline);
+  /// Wait half of a v2 exchange: the deadline, abandon and mid-reply
+  /// grace logic.
+  Reply awaitV2(std::uint64_t id, std::future<Reply>& reply,
+                std::chrono::steady_clock::time_point deadline);
+  /// A Pending dropped without wait(): abandon or see the call through.
+  void abandon(std::uint64_t id, std::future<Reply>& reply) noexcept;
+  /// Erase call `id` if its reply has not begun to arrive (the reader
+  /// then drains the late reply as an orphan).  False otherwise.
+  bool abandonIfWaiting(std::uint64_t id);
+  /// Call `id`'s reply stalled mid-body past its grace window: the wire
+  /// can never be realigned, so break the channel and close the stream
+  /// (the wedged reader then fails every in-flight call).  False when
+  /// the reply completed meanwhile.
+  bool breakStalled(std::uint64_t id);
+  std::chrono::steady_clock::duration midReplyGrace() const;
 
   void readerLoop(transport::Stream* stream, bool traced);
   /// Mark broken and fail every pending call with `error`.

@@ -65,8 +65,6 @@ std::unique_ptr<NinfClient> NinfClient::connectTcp(const std::string& host,
     });
     return client;
   } catch (const TransportError& e) {
-    static obs::Counter& failures = obs::counter("client.connect_failures");
-    failures.add();
     throw TransportError("Ninf server " + host + ":" + std::to_string(port) +
                          " unreachable: " + e.what());
   }
@@ -345,11 +343,27 @@ std::vector<std::string> NinfClient::listExecutables() {
   return names;
 }
 
+NinfClient::StatusPoll NinfClient::startServerStatus(double timeout_seconds) {
+  StatusPoll poll;
+  poll.payload_ = std::make_shared<std::vector<std::uint8_t>>();
+  poll.call_ = channel_->start(
+      MessageType::ServerStatus, xdr::Encoder{},
+      [payload = poll.payload_](const Channel::Reply& r, xdr::Source& body) {
+        requireType(r.type, MessageType::StatusReply);
+        payload->resize(r.length);
+        body.getRaw(*payload);
+      },
+      deadlineIn(timeout_seconds));
+  return poll;
+}
+
+protocol::ServerStatusInfo NinfClient::StatusPoll::get() {
+  call_.wait();
+  return protocol::ServerStatusInfo::fromBytes(*payload_);
+}
+
 protocol::ServerStatusInfo NinfClient::serverStatus(double timeout_seconds) {
-  const Message reply = roundTrip(MessageType::ServerStatus, {},
-                                  MessageType::StatusReply,
-                                  deadlineIn(timeout_seconds));
-  return protocol::ServerStatusInfo::fromBytes(reply.payload);
+  return startServerStatus(timeout_seconds).get();
 }
 
 double NinfClient::ping(std::size_t payload_bytes, double timeout_seconds) {

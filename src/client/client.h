@@ -141,10 +141,30 @@ class NinfClient {
   /// Names of the executables registered on the server.
   std::vector<std::string> listExecutables();
 
-  /// Server status snapshot (metaserver food).  timeout_seconds > 0
-  /// bounds the round-trip (TimeoutError on expiry) — the metaserver's
-  /// scheduling polls rely on this so one stalled server cannot wedge
-  /// dispatch decisions.
+  /// A status request on the wire whose reply is not yet collected
+  /// (startServerStatus).  The reply lands in storage the handle shares
+  /// with the channel's reader, so get() may run after the frame that
+  /// started the poll has returned.  Dropping the handle without get()
+  /// abandons the poll; the client must outlive the handle.
+  class StatusPoll {
+   public:
+    /// Throws what the poll failed with (TimeoutError past its bound).
+    protocol::ServerStatusInfo get() NINF_BLOCKING;
+
+   private:
+    friend class NinfClient;
+    std::shared_ptr<std::vector<std::uint8_t>> payload_;
+    Channel::Pending call_;
+  };
+
+  /// Send a status request and return without waiting for the reply,
+  /// so one caller can have polls to many servers in flight at once.
+  /// timeout_seconds > 0 bounds the round-trip from now.
+  StatusPoll startServerStatus(double timeout_seconds = 0.0) NINF_BLOCKING;
+
+  /// Server status snapshot (metaserver food): startServerStatus + get.
+  /// timeout_seconds > 0 bounds the round-trip (TimeoutError on expiry),
+  /// so one stalled server cannot wedge a dispatch decision.
   protocol::ServerStatusInfo serverStatus(double timeout_seconds = 0.0)
       NINF_BLOCKING;
 

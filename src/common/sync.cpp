@@ -195,17 +195,15 @@ bool checkAndRecord(std::uint32_t acquiring, Violation* out) {
   return false;
 }
 
-/// The documented lock hierarchy (docs/ANALYSIS.md) — seeded into the
-/// graph the first time the checker observes an acquisition, so
-/// reversing any documented order fails even on schedules where the
-/// forward order never runs.
+}  // namespace
+
 void declareCanonicalHierarchy() {
-  // Metaserver: the global table lock may wrap a per-server cache lock
-  // and the cooldown-skip counter; monitor I/O runs under the per-server
-  // poll mutex and drives a whole client channel beneath it.
-  declareOrder({"metaserver.global", "metaserver.server"});
-  declareOrder({"metaserver.global", "obs.registry"});
-  declareOrder({"metaserver.poll", "channel.setup", "channel.send",
+  // Metaserver directory: the table lock may wrap a per-server cache
+  // lock.  The per-server poll lock wraps only the lazy dial of the
+  // status channel, which installs that channel's reconnect factory;
+  // the poll I/O itself runs with no directory lock held.
+  declareOrder({"directory.global", "directory.server"});
+  declareOrder({"directory.poll", "channel.setup", "channel.send",
                 "channel.pending"});
   // Session wire path: a v1 exchange holds the channel setup lock across
   // transport sends (and may log); v2 sends hold the send lock, with
@@ -233,12 +231,14 @@ void declareCanonicalHierarchy() {
   declareOrder({"server.cache", "pool.buffers"});
   // The channel's group-commit flusher collects frames under the batch
   // lock, releases it, then sends under the send lock — it never holds
-  // both, but enqueuers run under transactV2 which may later take the
+  // both, but enqueuers run under startV2 which may later take the
   // send lock, so the canonical order is batch above send.
   declareOrder({"channel.batch", "channel.send"});
   declareOrder({"channel.batch", "obs.registry"});
   declareOrder({"server.cache", "obs.registry"});
 }
+
+namespace {
 
 std::once_flag g_hierarchy_once;
 

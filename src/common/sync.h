@@ -157,6 +157,12 @@ bool hasEdge(const char* from, const char* to);
 /// Empty while the checker is disabled.
 std::vector<std::string> heldLockNames();
 
+/// Seed the documented lock hierarchy (docs/ANALYSIS.md).  The checker
+/// does this once, on the first acquisition it observes, so reversing a
+/// documented order fails even on schedules where the forward order
+/// never runs.  Tests call it again after resetGraphForTesting().
+void declareCanonicalHierarchy();
+
 /// Test hook: drop every recorded/declared edge, the violation tally,
 /// and this thread's held stack (lock-class names stay interned).  Not
 /// safe while other threads hold ninf mutexes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -63,33 +64,7 @@ protocol::RegisterResult::Status LocalDirectory::apply(
   using Kind = protocol::RegistryOp::Kind;
   using Status = protocol::RegisterResult::Status;
   NINF_REQUIRE(!op.desc.endpoint.empty(), "registry op needs an endpoint");
-
-  Status st;
-  {
-    LockGuard lock(mutex_);
-    st = applyLocked(op);
-  }
-  // Shard counters are bumped after the directory lock drops: apply()
-  // sits on the replication fan-in path and the obs registry must not
-  // serialize it.
-  if (st == Status::Applied) {
-    if (op.kind == Kind::Deregister) {
-      static obs::Counter& deregs =
-          obs::counter("metaserver.shard.deregistrations");
-      deregs.add();
-    } else {
-      static obs::Counter& regs =
-          obs::counter("metaserver.shard.registrations");
-      regs.add();
-    }
-  }
-  return st;
-}
-
-protocol::RegisterResult::Status LocalDirectory::applyLocked(
-    const protocol::RegistryOp& op) {
-  using Kind = protocol::RegistryOp::Kind;
-  using Status = protocol::RegisterResult::Status;
+  LockGuard lock(mutex_);
   // Idempotency: the identical key applied before answers Duplicate
   // without touching the table.  A register retried after a newer op on
   // the same endpoint (re-register or dereg with a higher epoch) is a
@@ -175,9 +150,12 @@ std::vector<std::size_t> LocalDirectory::indicesOf(
   return out;
 }
 
-client::NinfClient& LocalDirectory::monitorOf(ServerState& state) {
-  if (!state.monitor) state.monitor = state.entry.factory();
-  return *state.monitor;
+std::vector<LocalDirectory::ServerState*> LocalDirectory::states() const {
+  LockGuard lock(mutex_);
+  std::vector<ServerState*> out;
+  out.reserve(servers_.size());
+  for (const auto& s : servers_) out.push_back(s.get());
+  return out;
 }
 
 LocalDirectory::ServerState* LocalDirectory::findByName(
@@ -189,34 +167,85 @@ LocalDirectory::ServerState* LocalDirectory::findByName(
   return nullptr;
 }
 
+std::shared_ptr<client::NinfClient> LocalDirectory::monitorOf(
+    ServerState& state) {
+  LockGuard dial(state.poll_mutex);
+  if (!state.monitor) {
+    state.monitor = state.entry.factory();
+    if (!state.monitor) {
+      throw TransportError("no status connection to '" + state.entry.name +
+                           "'");
+    }
+  }
+  return state.monitor;
+}
+
+void LocalDirectory::markUnreachable(
+    ServerState& state, const std::shared_ptr<client::NinfClient>& failed) {
+  {
+    // The next poll redials.  The last reference, and with it the
+    // channel's teardown, goes with the failed poll, outside this lock.
+    LockGuard slot(state.poll_mutex);
+    if (state.monitor == failed) state.monitor.reset();
+  }
+  LockGuard cache(state.mutex);
+  state.reachable = false;
+}
+
+LocalDirectory::Poll LocalDirectory::startPoll(ServerState& state) {
+  static obs::Counter& polls = obs::counter("metaserver.directory.polls");
+  Poll poll;
+  poll.state = &state;
+  try {
+    poll.monitor = monitorOf(state);
+    polls.add();
+    // Bounded by the poll timeout from now: a dead or slow server is
+    // simply unreachable for this round.
+    poll.reply = poll.monitor->startServerStatus(poll_timeout_);
+  } catch (const Error&) {
+    poll.error = std::current_exception();
+  }
+  return poll;
+}
+
+protocol::ServerStatusInfo LocalDirectory::finishPoll(Poll& poll) {
+  ServerState& state = *poll.state;
+  protocol::ServerStatusInfo status;
+  try {
+    if (poll.error) std::rethrow_exception(poll.error);
+    status = poll.reply.get();
+  } catch (const Error&) {
+    markUnreachable(state, poll.monitor);
+    throw;
+  }
+  LockGuard cache(state.mutex);
+  state.last_status = status;
+  state.last_status_time = nowSeconds();
+  state.reachable = true;
+  return status;
+}
+
 protocol::ServerStatusInfo LocalDirectory::poll(
     const std::string& server_name) {
   ServerState* state = findByName(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
+  Poll p = startPoll(*state);
+  return finishPoll(p);
+}
 
-  // Wire I/O under the per-server poll mutex only, bounded by the poll
-  // timeout: a dead or slow server must not hold up the scheduling table.
-  protocol::ServerStatusInfo status;
-  try {
-    LockGuard poll_lock(state->poll_mutex);
+void LocalDirectory::pollAll() {
+  const std::vector<ServerState*> all = states();
+  std::vector<Poll> polls;
+  polls.reserve(all.size());
+  for (ServerState* state : all) polls.push_back(startPoll(*state));
+  for (Poll& p : polls) {
     try {
-      status = monitorOf(*state).serverStatus(poll_timeout_);
-    } catch (const Error&) {
-      state->monitor.reset();  // reconnect on the next poll
-      throw;
+      finishPoll(p);
+    } catch (const Error& e) {
+      NINF_LOG(Debug) << "monitor: " << p.state->entry.name << ": "
+                      << e.what();
     }
-  } catch (const Error&) {
-    LockGuard cache(state->mutex);
-    state->reachable = false;
-    throw;
   }
-  {
-    LockGuard cache(state->mutex);
-    state->last_status = status;
-    state->last_status_time = nowSeconds();
-    state->reachable = true;
-  }
-  return status;
 }
 
 protocol::ServerStatusInfo LocalDirectory::lastStatus(
@@ -228,15 +257,10 @@ protocol::ServerStatusInfo LocalDirectory::lastStatus(
 }
 
 std::vector<protocol::LivenessRecord> LocalDirectory::livenessDigest() const {
-  std::vector<ServerState*> states;
-  {
-    LockGuard lock(mutex_);
-    states.reserve(servers_.size());
-    for (auto& s : servers_) states.push_back(s.get());
-  }
+  const std::vector<ServerState*> all = states();
   std::vector<protocol::LivenessRecord> out;
-  out.reserve(states.size());
-  for (ServerState* st : states) {
+  out.reserve(all.size());
+  for (ServerState* st : all) {
     protocol::LivenessRecord rec;
     LockGuard cache(st->mutex);
     rec.server_name = st->entry.name;
@@ -269,87 +293,76 @@ std::vector<Candidate> LocalDirectory::snapshot(
   // RoundRobin is oblivious: no polling at all.
   if (policy_ == SchedulingPolicy::RoundRobin) return {};
 
-  std::vector<ServerState*> states;
-  {
-    LockGuard lock(mutex_);
-    states.reserve(servers_.size());
-    for (auto& s : servers_) states.push_back(s.get());
-  }
-  const bool want_iface = policy_ == SchedulingPolicy::BandwidthAware;
-
-  std::vector<Candidate> out;
-  out.reserve(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    Candidate c;
+  const std::vector<ServerState*> all = states();
+  std::vector<Candidate> out(all.size());
+  // First pass, no waiting: settle what the declared entry lists and
+  // the status cache can answer, and send a status poll for the rest.
+  std::vector<std::pair<std::size_t, Poll>> polls;
+  polls.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    Candidate& c = out[i];
     c.idx = i;
+    // Excluded: never picked, so never polled either.
     if (std::find(excluded.begin(), excluded.end(), i) != excluded.end()) {
-      out.push_back(c);  // excluded: never picked, don't poll it either
       continue;
     }
-    ServerState* st = states[i];
-
-    // A declared entry list prunes without any wire I/O.
-    if (!st->entry.entries.empty() &&
-        std::find(st->entry.entries.begin(), st->entry.entries.end(),
-                  entry_name) == st->entry.entries.end()) {
-      c.exports = false;
-    }
-
-    // Reuse a fresh-enough cached status instead of another round-trip.
-    bool have_status = false;
+    ServerState& st = *all[i];
+    // A declared entry list rules the server out without a poll; its
+    // liveness comes from monitor rounds and replicated digests.
+    const auto& entries = st.entry.entries;
+    c.exports = entries.empty() || std::find(entries.begin(), entries.end(),
+                                             entry_name) != entries.end();
+    bool cached = false;
     {
-      LockGuard cache(st->mutex);
-      if (status_freshness_ > 0 && st->reachable &&
-          st->last_status_time > 0 &&
-          nowSeconds() - st->last_status_time <= status_freshness_) {
-        c.status = st->last_status;
-        have_status = true;
+      LockGuard cache(st.mutex);
+      cached = !c.exports ||
+               (status_freshness_ > 0 && st.reachable &&
+                st.last_status_time > 0 &&
+                nowSeconds() - st.last_status_time <= status_freshness_);
+      c.reachable = st.reachable;
+      c.status = st.last_status;
+    }
+    if (!cached) polls.emplace_back(i, startPoll(st));
+  }
+  // Second pass: collect the round.  Each poll runs against its own
+  // deadline, so N stalled servers cost one poll timeout, not N.
+  for (auto& [i, pending] : polls) {
+    try {
+      out[i].status = finishPoll(pending);
+      out[i].reachable = true;
+    } catch (const Error&) {
+      out[i].reachable = false;
+    }
+  }
+  if (policy_ == SchedulingPolicy::BandwidthAware) {
+    for (Candidate& c : out) {
+      if (c.reachable && c.exports) {
+        describeCall(*all[c.idx], entry_name, args, c);
       }
     }
-
-    if (have_status && !want_iface) {
-      c.reachable = true;
-      out.push_back(c);
-      continue;
-    }
-
-    {
-      // Bounded wire I/O: each monitor round-trip gets at most the poll
-      // timeout, so one stalled server delays a dispatch (and any other
-      // dispatcher queued on this poll mutex) by a bounded amount, and
-      // a timed-out server is simply unreachable for this round.
-      LockGuard poll_lock(st->poll_mutex);
-      try {
-        auto& mon = monitorOf(*st);
-        if (!have_status) c.status = mon.serverStatus(poll_timeout_);
-        c.reachable = true;
-        if (want_iface && c.exports) {
-          // The interface query rides the same monitor connection; the
-          // client caches it, so repeat decisions cost no extra I/O.
-          const auto& info = mon.queryInterface(entry_name, poll_timeout_);
-          const auto scalars = protocol::scalarArgs(info, args);
-          c.bytes = static_cast<double>(info.bytesTotal(scalars));
-          c.flops = static_cast<double>(info.flopsEstimate(scalars));
-        }
-      } catch (const NotFoundError&) {
-        c.exports = false;  // reachable, but no such entry there
-      } catch (const Error&) {
-        st->monitor.reset();  // status channel died; reconnect next time
-        c.reachable = false;
-      }
-    }
-
-    {
-      LockGuard cache(st->mutex);
-      st->reachable = c.reachable;
-      if (c.reachable && !have_status) {
-        st->last_status = c.status;
-        st->last_status_time = nowSeconds();
-      }
-    }
-    out.push_back(c);
   }
   return out;
+}
+
+void LocalDirectory::describeCall(ServerState& state,
+                                  const std::string& entry_name,
+                                  std::span<const protocol::ArgValue> args,
+                                  Candidate& c) {
+  std::shared_ptr<client::NinfClient> monitor;
+  try {
+    monitor = monitorOf(state);
+    // The interface query rides the monitor connection; the client
+    // caches it, so repeat decisions cost no extra I/O.
+    const auto& info = monitor->queryInterface(entry_name, poll_timeout_);
+    const auto scalars = protocol::scalarArgs(info, args);
+    c.bytes = static_cast<double>(info.bytesTotal(scalars));
+    c.flops = static_cast<double>(info.flopsEstimate(scalars));
+  } catch (const NotFoundError&) {
+    c.exports = false;  // reachable, but no such entry there
+  } catch (const Error&) {
+    markUnreachable(state, monitor);
+    c.reachable = false;
+  }
 }
 
 std::size_t LocalDirectory::pick(const std::string& entry_name,

@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -107,9 +108,11 @@ class Directory {
   virtual SchedulingPolicy policy() const = 0;
   virtual std::size_t serverCount() const = 0;
 
-  /// Poll every non-excluded server (honoring the freshness window) and
-  /// return the snapshot the policies decide over.  All network I/O
-  /// happens here, under per-server poll mutexes.
+  /// Poll every non-excluded server that exports the entry (honoring
+  /// the freshness window) and return the snapshot the policies decide
+  /// over.  All network I/O happens here, with no directory lock held
+  /// across it: every needed poll is sent before any reply is awaited,
+  /// so one decision costs one poll round.
   virtual std::vector<Candidate> snapshot(
       const std::string& entry_name,
       std::span<const protocol::ArgValue> args,
@@ -159,9 +162,12 @@ class LocalDirectory : public Directory {
   std::vector<std::string> serverNames() const;
 
   // ---- liveness ----
-  /// Poll a server's status (monitoring loop body).  Always does the
-  /// wire round-trip; the result refreshes the scheduling cache.
+  /// Poll a server's status.  Always does the wire round-trip; the
+  /// result refreshes the scheduling cache.
   protocol::ServerStatusInfo poll(const std::string& server_name);
+  /// One monitor round: poll every registered server concurrently.  A
+  /// server that fails its poll is marked unreachable and skipped.
+  void pollAll();
   /// Last polled status of a server (all-zero before the first poll).
   protocol::ServerStatusInfo lastStatus(const std::string& server_name) const;
   /// Export the soft liveness state (replication heartbeat payload).
@@ -195,11 +201,14 @@ class LocalDirectory : public Directory {
     /// Registration epoch of the op that produced this entry (0 for
     /// addServer) — half of the idempotency key.
     std::uint64_t reg_epoch = 0;
-    /// Serializes network I/O on `monitor`.  Never nested inside any
-    /// other directory lock.
+    /// Guards the lazy dial of `monitor` and the slot, nothing more.
+    /// Each poller copies the pointer out and runs its I/O with no
+    /// directory lock held, so polls to one server share its channel.
+    /// Sits above channel.setup (the dial installs the channel's
+    /// reconnect factory); never nested inside another directory lock.
     Mutex poll_mutex{"directory.poll"};
-    /// Lazy status channel, touched only while polling.
-    std::unique_ptr<client::NinfClient> monitor NINF_GUARDED_BY(poll_mutex);
+    /// Status channel, dialled on the first poll.
+    std::shared_ptr<client::NinfClient> monitor NINF_GUARDED_BY(poll_mutex);
     /// Cached poll results live under a per-state mutex (not the global
     /// table lock), so reading one server's cache never serializes
     /// against dispatches scanning the table.  Lock order: the global
@@ -216,17 +225,34 @@ class LocalDirectory : public Directory {
         NINF_GUARDED_BY(mutex){};
   };
 
+  /// One status poll in flight.  startPoll sends the request;
+  /// finishPoll waits for the reply and records the outcome.
+  struct Poll {
+    ServerState* state = nullptr;
+    std::shared_ptr<client::NinfClient> monitor;
+    /// Declared after `monitor`, so it is destroyed first.
+    client::NinfClient::StatusPoll reply;
+    /// Set when the dial or the send failed.
+    std::exception_ptr error;
+  };
+  Poll startPoll(ServerState& state);
+  /// Throws what the poll failed with, after markUnreachable.
+  protocol::ServerStatusInfo finishPoll(Poll& poll);
+  /// BandwidthAware: the call's bytes and flops on one candidate, from
+  /// the interface its monitor client caches.
+  void describeCall(ServerState& state, const std::string& entry_name,
+                    std::span<const protocol::ArgValue> args, Candidate& c);
+  std::shared_ptr<client::NinfClient> monitorOf(ServerState& state);
+  /// A poll or query on `failed` failed: mark the server unreachable
+  /// and forget that monitor, unless a newer one already replaced it.
+  void markUnreachable(ServerState& state,
+                       const std::shared_ptr<client::NinfClient>& failed);
   /// The raw policy switch, honoring only the explicit exclusions.
   std::size_t pickAmong(const std::string& entry_name,
                         const std::vector<Candidate>& candidates,
                         const std::vector<std::size_t>& excluded)
       NINF_REQUIRES(mutex_);
-  /// Table mutation for apply(); counters are bumped by the caller
-  /// after the lock drops.
-  protocol::RegisterResult::Status applyLocked(
-      const protocol::RegistryOp& op) NINF_REQUIRES(mutex_);
-  client::NinfClient& monitorOf(ServerState& state)
-      NINF_REQUIRES(state.poll_mutex);
+  std::vector<ServerState*> states() const;
   ServerState* findByName(const std::string& name) const;
   std::size_t indexOfEndpoint(const std::string& endpoint) const
       NINF_REQUIRES(mutex_);

@@ -135,14 +135,7 @@ void Metaserver::startMonitoring(std::chrono::milliseconds interval) {
   }
   monitor_thread_ = std::thread([this, interval] {
     for (;;) {
-      // Poll every known server, tolerating failures.
-      for (const auto& name : dir_.serverNames()) {
-        try {
-          dir_.poll(name);
-        } catch (const Error& e) {
-          NINF_LOG(Debug) << "monitor: " << name << ": " << e.what();
-        }
-      }
+      dir_.pollAll();
       UniqueLock lock(monitor_mutex_);
       if (monitor_cv_.wait_for(lock, interval,
                                [this] { return monitor_stop_; })) {

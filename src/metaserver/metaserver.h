@@ -84,16 +84,17 @@ class Metaserver : public client::CallDispatcher {
   std::size_t serverCount() const { return dir_.serverCount(); }
   SchedulingPolicy policy() const { return dir_.policy(); }
 
-  /// Poll a server's status (monitoring loop body).  Always does the
-  /// wire round-trip; the result refreshes the scheduling cache.
+  /// Poll a server's status.  Always does the wire round-trip; the
+  /// result refreshes the scheduling cache.
   protocol::ServerStatusInfo poll(const std::string& server_name) {
     return dir_.poll(server_name);
   }
 
   /// Background monitoring (section 2.4: the metaserver "monitors
-  /// multiple Ninf computing servers"): poll every server's status each
-  /// `interval`.  Unreachable servers are skipped (and retried next
-  /// round).  Idempotent; stopMonitoring() joins the thread.
+  /// multiple Ninf computing servers"): one concurrent poll round over
+  /// every server each `interval`.  Unreachable servers are skipped
+  /// (and retried next round).  Idempotent; stopMonitoring() joins the
+  /// thread.
   void startMonitoring(std::chrono::milliseconds interval);
   void stopMonitoring();
   /// Last polled status of a server (all-zero before the first poll).

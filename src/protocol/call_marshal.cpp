@@ -217,7 +217,6 @@ std::vector<std::uint8_t> encodeCallRequest(const InterfaceInfo& info,
 }
 
 ServerCallData decodeCallArgs(const InterfaceInfo& info, xdr::Source& dec) {
-  obs::Span span(obs::phase::kServerUnmarshalArgs);
   const std::size_t n = info.params.size();
   ServerCallData data;
   data.scalar_ints.assign(n, 0);
@@ -276,7 +275,6 @@ ServerCallData decodeCallArgs(const InterfaceInfo& info, xdr::Source& dec) {
 xdr::Encoder buildCallReply(const InterfaceInfo& info,
                             const ServerCallData& data,
                             const CallTimings& timings) {
-  obs::Span span(obs::phase::kServerMarshalResult);
   xdr::Encoder enc;
   enc.putU32(0);  // status: success
   enc.putDouble(timings.enqueue);
@@ -304,7 +302,6 @@ xdr::Encoder buildCallReply(const InterfaceInfo& info,
       putArray(enc, data.arrays[i]);
     }
   }
-  span.setBytes(static_cast<std::int64_t>(enc.size()));
   return enc;
 }
 

@@ -287,6 +287,41 @@ TEST(Export, JsonParserHandlesEscapesAndNesting) {
 
 // -------------------------------------------------------- end to end
 
+// The server's prologue decode and epilogue marshal are each one span
+// per call, so a phase table counts each stage once.
+TEST(TracedCall, EachServerMarshalStageIsOneSpan) {
+  server::Registry registry;
+  server::registerStandardExecutables(registry);
+  server::NinfServer srv(registry, {.workers = 1});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  const std::uint16_t port = listener->port();
+  srv.start(listener);
+
+  TracerGuard guard;
+  {
+    auto cl = client::NinfClient::connectTcp("127.0.0.1", port);
+    const std::int64_t n = 16;
+    const numlib::Matrix a = numlib::randomMatrix(n, 1);
+    const numlib::Matrix b = numlib::randomMatrix(n, 2);
+    std::vector<double> c(n * n);
+    client::ninfCall(*cl, "dmmul", n, a.flat(), b.flat(),
+                     std::span<double>(c));
+    cl->close();
+  }
+  srv.stop();
+
+  const auto spans = obs::Tracer::instance().drain();
+  for (const char* name : {obs::phase::kServerUnmarshalArgs,
+                           obs::phase::kServerMarshalResult}) {
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [name](const obs::SpanRecord& s) {
+                              return s.name == name;
+                            }),
+              1)
+        << name;
+  }
+}
+
 TEST(TracedCall, TcpCallProducesFullPhaseDecomposition) {
   server::Registry registry;
   server::registerStandardExecutables(registry);

@@ -438,6 +438,62 @@ TEST(ChannelStall, MidReplyStallBoundsDeadlinedCallAndBreaksChannel) {
   stalling_server.join();
 }
 
+TEST(ChannelPending, DroppedWithoutWaitAbandonsTheCallAndChannelLivesOn) {
+  // A v2 peer that answers every request 50 ms late.  An exchange that
+  // is started and dropped before its reply arrives leaves the in-flight
+  // gauge where it was, without counting a timeout; its late reply is
+  // drained as an orphan and the next exchange on the channel succeeds.
+  auto [c_end, s_end] = transport::inprocPair();
+  auto client = std::make_unique<NinfClient>(std::move(c_end));
+
+  std::thread slow_server([&s_end] {
+    const auto hello = protocol::recvMessage(*s_end);
+    EXPECT_EQ(hello.type, protocol::MessageType::Hello);
+    xdr::Encoder ack;
+    ack.putU32(protocol::kVersion2);
+    protocol::sendMessage(*s_end, protocol::MessageType::HelloAck,
+                          ack.bytes());
+    try {
+      for (;;) {
+        const auto request = protocol::recvHeaderV2(*s_end);
+        std::vector<std::uint8_t> payload(request.length);
+        s_end->recvAll(payload);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        protocol::sendMessageV2(*s_end, protocol::MessageType::Pong,
+                                request.call_id, payload);
+      }
+    } catch (const Error&) {
+      // The client hung up.
+    }
+  });
+
+  obs::Gauge& inflight = obs::gauge("channel.inflight");
+  const double inflight_before = inflight.value();
+  const double timeouts_before = obs::counter("channel.call_timeouts").value();
+  const double orphans_before = obs::counter("channel.orphan_replies").value();
+  bool consumed = false;
+  {
+    const xdr::Encoder empty;
+    client::Channel::Pending dropped = client->channel().start(
+        protocol::MessageType::Ping, empty,
+        [&consumed](const client::Channel::Reply&, xdr::Source&) {
+          consumed = true;
+        },
+        std::chrono::steady_clock::now() + std::chrono::seconds(5));
+    EXPECT_EQ(inflight.value(), inflight_before + 1);
+  }
+  EXPECT_EQ(inflight.value(), inflight_before);
+  EXPECT_EQ(obs::counter("channel.call_timeouts").value(), timeouts_before);
+
+  EXPECT_GE(client->ping(0, 2.0), 0.0);
+  EXPECT_FALSE(consumed);
+  EXPECT_GE(obs::counter("channel.orphan_replies").value() - orphans_before,
+            1.0);
+  EXPECT_EQ(inflight.value(), inflight_before);
+  client.reset();
+  slow_server.join();
+}
+
 /// Pool behavior against one live TCP server.
 class PoolFixture : public SessionFixture {
  protected:

@@ -319,4 +319,22 @@ TEST_F(LockdepTest, CanonicalHierarchyIsEnforced) {
   EXPECT_NE(violations_[0].cycle.find("channel.setup"), std::string::npos);
 }
 
+// The seeded hierarchy names the directory's real lock classes, so a
+// server's cache lock taken before the table lock is reported on its
+// first occurrence, with no forward acquisition in this process.
+TEST_F(LockdepTest, CanonicalHierarchyNamesTheDirectoryLocks) {
+  ninf::lockdep::declareCanonicalHierarchy();
+  EXPECT_TRUE(ninf::lockdep::hasEdge("directory.poll", "channel.setup"));
+  Mutex global{"directory.global"};
+  Mutex server{"directory.server"};
+  {
+    LockGuard ls(server);
+    LockGuard lg(global);  // server-before-global reverses the hierarchy
+  }
+  ASSERT_EQ(violations_.size(), 1u);
+  EXPECT_NE(violations_[0].cycle.find("directory.global"), std::string::npos);
+  EXPECT_NE(violations_[0].established.find("declared lock hierarchy"),
+            std::string::npos);
+}
+
 }  // namespace
