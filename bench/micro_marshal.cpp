@@ -7,7 +7,7 @@
 // chunked byteswap of the streamed path.
 //
 //   bench_micro_marshal [--warmup N] [--repeat N] [--sizes n1,n2,...]
-//                       [--faulty] [--json PATH]
+//                       [--faulty]
 //
 // Sizes are dmmul matrix orders; the CallRequest body carries two n*n
 // double arrays (n=512 -> 4 MiB of array payload, n=1024 -> 16 MiB).
@@ -18,16 +18,13 @@
 // that a disabled FaultPlan costs nothing (within run-to-run noise).
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_json.h"
 #include "common/error.h"
 #include "idl/parser.h"
 #include "protocol/call_marshal.h"
@@ -129,7 +126,6 @@ double oneRound(Harness& h, bool streamed,
 struct Stats {
   double min_mbps = 0.0;
   double median_mbps = 0.0;
-  std::vector<double> round_ms;  // timed rounds, in run order
 };
 
 Stats runPath(bool streamed, bool faulty, std::size_t n, int warmup,
@@ -150,52 +146,13 @@ Stats runPath(bool streamed, bool faulty, std::size_t n, int warmup,
   Stats s;
   std::vector<double> mbps;
   mbps.reserve(static_cast<std::size_t>(repeat));
-  s.round_ms.reserve(static_cast<std::size_t>(repeat));
   for (int i = 0; i < repeat; ++i) {
-    const double seconds = oneRound(h, streamed, args);
-    s.round_ms.push_back(seconds * 1e3);
-    mbps.push_back(body_mb / seconds);
+    mbps.push_back(body_mb / oneRound(h, streamed, args));
   }
   std::sort(mbps.begin(), mbps.end());
   s.min_mbps = mbps.front();
   s.median_mbps = mbps[mbps.size() / 2];
   return s;
-}
-
-// One BenchStep per (path, size) pair: latency is the per-round marshal
-// time, throughput_cps is rounds per timed second.
-bench::BenchStep marshalStep(const char* path, std::size_t n,
-                             const Stats& stats, double body_mb) {
-  bench::BenchStep step;
-  step.label = std::string(path) + " n=" + std::to_string(n);
-  step.values = {{"n", static_cast<double>(n)},
-                 {"body_mb", body_mb},
-                 {"min_mbps", stats.min_mbps},
-                 {"median_mbps", stats.median_mbps}};
-  std::vector<double> sorted = stats.round_ms;
-  std::sort(sorted.begin(), sorted.end());
-  const double total_ms =
-      std::accumulate(sorted.begin(), sorted.end(), 0.0);
-  step.duration_s = total_ms / 1e3;
-  step.calls = sorted.size();
-  step.errors = 0;
-  step.throughput_cps =
-      total_ms > 0.0 ? static_cast<double>(sorted.size()) / (total_ms / 1e3)
-                     : 0.0;
-  if (!sorted.empty()) {
-    auto pct = [&](double p) {
-      const double rank = p / 100.0 * static_cast<double>(sorted.size());
-      std::size_t idx =
-          rank <= 1.0 ? 0 : static_cast<std::size_t>(std::ceil(rank)) - 1;
-      return sorted[std::min(idx, sorted.size() - 1)];
-    };
-    step.latency.mean_ms = total_ms / static_cast<double>(sorted.size());
-    step.latency.p50_ms = pct(50);
-    step.latency.p95_ms = pct(95);
-    step.latency.p99_ms = pct(99);
-    step.latency.max_ms = sorted.back();
-  }
-  return step;
 }
 
 }  // namespace
@@ -204,7 +161,6 @@ int main(int argc, char** argv) {
   int warmup = 2;
   int repeat = 9;
   bool faulty = false;
-  std::string json_path;
   std::vector<std::size_t> sizes = {256, 512, 1024};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -228,12 +184,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--faulty") {
       faulty = true;
-    } else if (arg == "--json") {
-      json_path = need("--json");
     } else {
       std::fprintf(stderr,
                    "usage: %s [--warmup N] [--repeat N] [--sizes n1,n2,...]"
-                   " [--faulty] [--json PATH]\n",
+                   " [--faulty]\n",
                    argv[0]);
       return 2;
     }
@@ -248,11 +202,6 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %14s %14s %14s %14s %9s\n", "n", "body_MB",
               "legacy_min", "legacy_med", "stream_min", "stream_med",
               "speedup");
-  bench::BenchReport report;
-  report.bench = "micro_marshal";
-  report.config = {{"warmup", static_cast<double>(warmup)},
-                   {"repeat", static_cast<double>(repeat)},
-                   {"faulty", faulty ? 1.0 : 0.0}};
   for (const std::size_t n : sizes) {
     const Stats legacy = runPath(/*streamed=*/false, faulty, n, warmup,
                                  repeat);
@@ -264,15 +213,6 @@ int main(int argc, char** argv) {
                 n, body_mb, legacy.min_mbps, legacy.median_mbps,
                 streamed.min_mbps, streamed.median_mbps,
                 streamed.median_mbps / legacy.median_mbps);
-    report.steps.push_back(marshalStep("legacy", n, legacy, body_mb));
-    report.steps.push_back(marshalStep("streamed", n, streamed, body_mb));
-  }
-  if (!json_path.empty()) {
-    if (!bench::writeBenchJson(report, json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%s)\n", json_path.c_str(), bench::kBenchSchema);
   }
   return 0;
 }

@@ -494,10 +494,9 @@ void Channel::sendV2Batched(std::uint64_t call_id,
   std::vector<BatchItem> wave;
   while (!batch_queue_.empty()) {
     // Collect one writev's worth under the lock...
-    const common::BatchLimits limits = common::batchLimits();
     std::size_t wave_bytes = 0;
-    while (!batch_queue_.empty() && wave.size() < limits.max_iov &&
-           (wave.empty() || wave_bytes < limits.max_bytes)) {
+    while (!batch_queue_.empty() && wave.size() < common::kBatchMaxFrames &&
+           (wave.empty() || wave_bytes < common::kBatchMaxBytes)) {
       wave_bytes += batch_queue_.front().frame.size();
       wave.push_back(std::move(batch_queue_.front()));
       batch_queue_.pop_front();
@@ -511,16 +510,17 @@ void Channel::sendV2Batched(std::uint64_t call_id,
       if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
         throw TransportError("channel broken");
       }
-      std::array<std::span<const std::uint8_t>, 64> iov;
-      const std::size_t count = std::min(wave.size(), iov.size());
-      for (std::size_t i = 0; i < count; ++i) iov[i] = wave[i].frame.span();
+      std::array<std::span<const std::uint8_t>, common::kBatchMaxFrames> iov;
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        iov[i] = wave[i].frame.span();
+      }
       NINF_TIDY_SUPPRESS(
           "metrics-under-lock",
           "the wire write IS the send_mutex_ critical section; the "
           "transport's byte counters are cached function-local statics "
           "bumped with one relaxed atomic add, so the obs registry lock "
           "is only touched on the very first send");
-      wire_->sendv({iov.data(), count});
+      wire_->sendv({iov.data(), wave.size()});
     } catch (...) {
       err = std::current_exception();
     }

@@ -243,12 +243,12 @@ class Channel {
   /// a flush is already in progress, that flusher owns the frame and
   /// this returns at once: the caller waits only on its reply.
   /// Otherwise this caller becomes the flusher: it writes every queued
-  /// frame in waves of ONE sendv each (bounded by common::batchLimits())
-  /// while later arrivals keep queueing, and stamps each frame's
-  /// sent_us once its wave is on the wire.  A failed wave breaks the
-  /// channel, drops every queued frame and closes the stream, so the
-  /// reader fails each of those calls with TransportError; the flusher
-  /// itself throws only if its own frame's wave failed.
+  /// frame in waves of ONE sendv each (bounded by common::kBatchMaxFrames
+  /// and common::kBatchMaxBytes) while later arrivals keep queueing, and
+  /// stamps each frame's sent_us once its wave is on the wire.  A failed
+  /// wave breaks the channel, drops every queued frame and closes the
+  /// stream, so the reader fails each of those calls with TransportError;
+  /// the flusher itself throws only if its own frame's wave failed.
   void sendV2Batched(std::uint64_t call_id, common::PooledBuffer frame);
 
   /// Serializes connection setup / negotiation / teardown, and the whole

@@ -1,12 +1,10 @@
-// Process-wide small-call batching limits.
+// Small-call batching bounds.
 //
 // Both coalescing send paths — the client Channel's group-commit flusher
 // and the server reactor's per-connection write queue — bound how much
-// they pack into one writev/sendvNowait: at most `max_iov` frames and at
-// most `max_bytes` payload per flush.  The environment overrides
-// (NINF_BATCH_MAX_IOV / NINF_BATCH_MAX_BYTES) are read once at first
-// use; setBatchLimits() overrides them at runtime so benches can compare
-// batching on vs off (max_iov = 1) in one process.
+// they pack into one writev/sendvNowait: at most kBatchMaxFrames frames
+// and at most kBatchMaxBytes payload per flush.  A flush always takes at
+// least one frame, even when that frame alone exceeds the byte budget.
 #pragma once
 
 #include <cstddef>
@@ -21,20 +19,11 @@ namespace ninf::common {
 /// a worker job, so a multi-megabyte decode never stalls the loop.
 inline constexpr std::size_t kSmallFrameBytes = 16 * 1024;
 
-struct BatchLimits {
-  /// Frames coalesced per flush, clamped to [1, 64].  1 disables
-  /// batching (one syscall per frame, the pre-batching behaviour).
-  std::size_t max_iov = 16;
-  /// Byte budget per flush; a flush always takes at least one frame
-  /// even when that frame alone exceeds the budget.
-  std::size_t max_bytes = 256 * 1024;
-};
+/// Frames coalesced per flush.
+inline constexpr std::size_t kBatchMaxFrames = 16;
 
-/// Current limits (env-initialised on first call, cheap atomics after).
-BatchLimits batchLimits();
-
-/// Override the process-wide limits (benches/tests).  Values are
-/// clamped the same way as the environment overrides.
-void setBatchLimits(const BatchLimits& limits);
+/// Byte budget per flush: once a flush holds this many bytes it takes
+/// no further frame.
+inline constexpr std::size_t kBatchMaxBytes = 256 * 1024;
 
 }  // namespace ninf::common

@@ -299,7 +299,13 @@ void Reactor::readReadable(Conn& conn) {
 void Reactor::processFrames(Conn& conn) {
   while (!conn.dead) {
     // v1 lock-step: one staged call at a time, replies in frame order.
-    if (conn.v1_busy) return;
+    // Bytes a v1 peer pipelines behind the staged call stay in the
+    // kernel until the hold lifts; a lock-step peer has none buffered
+    // here, so it never pays for the pause.
+    if (conn.v1_busy) {
+      if (conn.assembler.buffered() > 0) pauseReading(conn);
+      return;
+    }
     if (staged_total_ >= options_.max_inflight) {
       pauseReading(conn);
       return;
@@ -447,17 +453,15 @@ void Reactor::flushConn(Conn& conn) {
   static obs::Counter& frames = obs::counter("server.reactor.batch.frames");
   static obs::Histogram& per_writev =
       obs::histogram("server.reactor.batch.frames_per_writev");
-  const common::BatchLimits limits = common::batchLimits();
   while (!conn.writeq.empty()) {
-    // Coalesce up to max_iov queued frames (bounded by the byte budget,
-    // always at least one) into a single vectored send.
-    std::array<std::span<const std::uint8_t>, 64> iov;
-    const std::size_t iov_limit = std::min(iov.size(), limits.max_iov);
+    // Coalesce up to kBatchMaxFrames queued frames (bounded by the byte
+    // budget, always at least one) into a single vectored send.
+    std::array<std::span<const std::uint8_t>, common::kBatchMaxFrames> iov;
     std::size_t count = 0;
     std::size_t bytes = 0;
     for (const OutBuf& buf : conn.writeq) {
-      if (count == iov_limit) break;
-      if (count > 0 && bytes >= limits.max_bytes) break;
+      if (count == iov.size()) break;
+      if (count > 0 && bytes >= common::kBatchMaxBytes) break;
       iov[count++] = std::span<const std::uint8_t>(
           buf.bytes.data() + buf.off, buf.bytes.size() - buf.off);
       bytes += buf.bytes.size() - buf.off;
@@ -519,7 +523,8 @@ void Reactor::resumeReads() {
   // map or the pause set mid-iteration.
   std::vector<std::uint64_t> paused;
   for (auto& [id, conn] : conns_) {
-    if (conn.paused) paused.push_back(id);
+    // A v1 hold keeps its connection paused until finishStagedCall.
+    if (conn.paused && !conn.v1_busy) paused.push_back(id);
   }
   for (std::uint64_t id : paused) {
     if (staged_total_ >= options_.max_inflight) return;

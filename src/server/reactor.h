@@ -36,7 +36,9 @@
 // v1 clients are served through the same reactor with a per-connection
 // serialization fallback: a v1 frame that enters the staged pipeline
 // marks the connection busy and no further frames are parsed until its
-// reply is queued, preserving lock-step reply order.
+// reply is queued, preserving lock-step reply order.  A v1 peer that
+// pipelines behind the hold also stops being read until it lifts, so
+// its extra frames wait in the kernel's socket buffers.
 //
 // Linux only (epoll).  The listener and every stream it accepts must
 // expose a pollable native handle and the non-blocking stream ops; TCP
@@ -94,9 +96,9 @@ class Reactor {
   /// Append one marshalled frame to `conn_id`'s write queue.  The
   /// actual writev is deferred to the end of the current loop iteration
   /// so every frame queued in one wakeup burst leaves in a single
-  /// coalesced sendvNowait (bounded by common::batchLimits()).  Unknown
-  /// ids (connection died) are dropped.  Not part of staged-call
-  /// bookkeeping.
+  /// coalesced sendvNowait (bounded by common::kBatchMaxFrames and
+  /// common::kBatchMaxBytes).  Unknown ids (connection died) are
+  /// dropped.  Not part of staged-call bookkeeping.
   void queueReply(std::uint64_t conn_id, common::PooledBuffer frame);
 
   /// Complete one staged call on `conn_id`: queue `reply` (empty = no
@@ -129,7 +131,8 @@ class Reactor {
     /// v1 lock-step serialization: a staged v1 call is in flight, stop
     /// parsing frames until its reply is queued.
     bool v1_busy = false;
-    /// EPOLLIN interest dropped for admission backpressure.
+    /// EPOLLIN interest dropped for admission backpressure, or for a v1
+    /// hold with bytes already buffered behind it.
     bool paused = false;
     bool want_write = false;  // EPOLLOUT armed
     bool read_open = true;    // peer's send side still delivering

@@ -5,11 +5,13 @@
 // frame one byte at a time without stalling anyone, and mid-body
 // disconnects that clean up instead of leaking a blocked reader thread.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -75,30 +77,79 @@ TEST_F(ReactorTest, ServesCallsAndControlMessages) {
   client->close();
 }
 
+/// Raise this process's soft fd limit to at least `want`, up to the hard
+/// limit.  False when even the hard limit is lower.
+bool raiseFdLimit(rlim_t want) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return false;
+  if (lim.rlim_cur >= want) return true;
+  if (lim.rlim_max != RLIM_INFINITY && lim.rlim_max < want) return false;
+  lim.rlim_cur = want;
+  return ::setrlimit(RLIMIT_NOFILE, &lim) == 0;
+}
+
 TEST_F(ReactorTest, IdleConnectionsParkWithoutThreads) {
-  constexpr int kIdle = 100;
+  constexpr int kIdle = 1000;
+  // Each parked connection holds two of this process's fds, the client
+  // end and the server end.
+  ASSERT_TRUE(raiseFdLimit(2 * kIdle + 256))
+      << "the hard RLIMIT_NOFILE cannot hold " << 2 * kIdle + 256
+      << " fds; raise it (ulimit -Hn) to run this test";
   // Let one call settle the lazy thread creation (client side included).
   auto client = NinfClient::connectTcp("127.0.0.1", port_);
   client->ping();
 
   const int before = processThreadCount();
   ASSERT_GT(before, 0);
+  // Each idle connection negotiates v2, so the server holds real
+  // multiplexed sessions rather than raw sockets, then goes silent.
   std::vector<std::unique_ptr<transport::Stream>> idle;
   idle.reserve(kIdle);
   for (int i = 0; i < kIdle; ++i) {
     idle.push_back(transport::tcpConnect("127.0.0.1", port_));
+    xdr::Encoder hello;
+    hello.putU32(protocol::kMaxVersion);
+    protocol::sendMessage(*idle.back(), protocol::MessageType::Hello,
+                          hello.bytes());
+    const protocol::Message ack = protocol::recvMessage(*idle.back());
+    ASSERT_EQ(ack.type, protocol::MessageType::HelloAck) << "connection " << i;
+    ASSERT_GE(xdr::Decoder(ack.payload).getU32(), protocol::kVersion2);
   }
   ASSERT_TRUE(waitFor([&] { return reactorFds() >= kIdle + 1; }))
       << "fds gauge " << reactorFds();
 
   // Thread-per-connection would sit at before + kIdle here.  The reactor
-  // parks every idle connection in one epoll set.
+  // parks every idle connection in one epoll set.  Read before any load
+  // thread starts.
   const int after = processThreadCount();
   EXPECT_LE(after, before + 2) << "server spawned threads per connection";
 
-  // The server still answers while the herd is parked.
-  EXPECT_GE(client->ping(64), 0.0);
+  // The server still serves load while the herd is parked: 64 callers
+  // over 8 shared channels.
+  constexpr int kChannels = 8;
+  constexpr int kCallers = 64;
+  constexpr int kPings = 16;
+  std::vector<std::unique_ptr<NinfClient>> channels;
+  for (int c = 0; c < kChannels; ++c) {
+    channels.push_back(NinfClient::connectTcp("127.0.0.1", port_));
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kPings; ++i) {
+        try {
+          channels[t % kChannels]->ping(1024);
+        } catch (const Error&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(failures.load(), 0) << "of " << kCallers * kPings << " pings";
 
+  for (auto& ch : channels) ch->close();
   idle.clear();
   EXPECT_TRUE(waitFor([&] { return reactorFds() <= 1.0; }))
       << "fds gauge " << reactorFds();
@@ -386,6 +437,89 @@ TEST(ReactorHangup, LocallyAbortedConnectionIsClosedNotPolled) {
   EXPECT_LT(cpu, 0.1) << "reactor busy-polled a hung-up connection";
   EXPECT_TRUE(waitFor([] { return reactorFds() == 0.0; }))
       << "fds gauge " << reactorFds();
+  server.stop();
+}
+
+TEST(ReactorV1Hold, PipelinedFramesWaitInTheKernelNotTheServer) {
+  // A raw v1 peer stages nap(500) on a 1-worker server, then pipelines
+  // 1,024 Pings of 64 KiB behind it.  The lock-step hold parses none of
+  // them until the call replies; a server that kept reading meanwhile
+  // would hold all 64 MiB in the connection's reassembly buffer.
+  Registry registry;
+  std::atomic<bool> napping{false};
+  registry.add(R"IDL(Define nap(mode_in long ms) Calls "C" nap(ms);)IDL",
+               [&](server::CallContext& ctx) {
+                 napping = true;
+                 std::this_thread::sleep_for(
+                     std::chrono::milliseconds(ctx.intArg("ms")));
+               });
+  NinfServer server(registry, {.workers = 1});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  const auto port = listener->port();
+  server.start(listener);
+
+  auto stream = transport::tcpConnect("127.0.0.1", port);
+  xdr::Encoder call;
+  call.putString("nap");
+  call.putI64(500);
+  protocol::sendMessage(*stream, protocol::MessageType::CallRequest,
+                        call.bytes());
+  ASSERT_TRUE(waitFor([&] { return napping.load(); }));
+  const double rss_before = processRssBytes();
+  ASSERT_GT(rss_before, 0.0);
+
+  // Each Ping carries its index, so the Pongs' order is checkable.
+  constexpr std::uint32_t kPings = 1024;
+  constexpr std::size_t kPingBytes = 64 * 1024;
+  const auto pingBody = [](std::uint32_t i) {
+    std::vector<std::uint8_t> body(kPingBytes, 0x3C);
+    std::memcpy(body.data(), &i, sizeof(i));
+    return body;
+  };
+  std::thread sender([&] {
+    try {
+      for (std::uint32_t i = 0; i < kPings; ++i) {
+        protocol::sendMessage(*stream, protocol::MessageType::Ping,
+                              pingBody(i));
+      }
+    } catch (const Error&) {
+      // The test closed the stream after a failed check.
+    }
+  });
+  std::atomic<bool> replied{false};
+  double rss_peak = rss_before;
+  std::thread sampler([&] {
+    while (!replied.load()) {
+      rss_peak = std::max(rss_peak, processRssBytes());
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+
+  // The call reply first, then every Pong in Ping order.
+  std::uint32_t pongs = 0;
+  try {
+    const protocol::Message reply = protocol::recvMessage(*stream);
+    replied = true;
+    EXPECT_EQ(reply.type, protocol::MessageType::CallReply);
+    EXPECT_EQ(xdr::Decoder(reply.payload).getU32(), 0u) << "call failed";
+    for (; pongs < kPings; ++pongs) {
+      const protocol::Message pong = protocol::recvMessage(*stream);
+      if (pong.type != protocol::MessageType::Pong ||
+          pong.payload != pingBody(pongs)) {
+        break;
+      }
+    }
+  } catch (const Error& e) {
+    ADD_FAILURE() << "after " << pongs << " Pongs: " << e.what();
+  }
+  replied = true;
+  sampler.join();
+  EXPECT_EQ(pongs, kPings) << "Pong " << pongs << " missing or out of order";
+  const double rise = rss_peak - rss_before;
+  EXPECT_LT(rise, 16.0 * (1 << 20))
+      << "VmRSS rose by " << rise << " bytes during the hold";
+  stream->close();
+  sender.join();
   server.stop();
 }
 

@@ -526,6 +526,50 @@ TEST_F(PoolFixture, ReleaseThenAcquireReusesTheConnection) {
   EXPECT_DOUBLE_EQ(obs::counter("pool.misses").value() - misses_before, 1.0);
 }
 
+TEST_F(PoolFixture, LargePingsOnFourThreadsThroughEveryConnectionMode) {
+  // 4 threads send 4 pings of 64 KiB each through a fresh connection per
+  // call, one shared v2 channel, and a pool lease per call.  ping()
+  // throws on an echo that differs from what it sent.
+  constexpr int kThreads = 4;
+  constexpr int kPings = 4;
+  constexpr std::size_t kBytes = 64 * 1024;
+  const auto failuresOf = [&](const std::function<void()>& ping) {
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kPings; ++i) {
+          try {
+            ping();
+          } catch (const Error&) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    return failures.load();
+  };
+
+  EXPECT_EQ(failuresOf([&] {
+              NinfClient::connectTcp("127.0.0.1", port_)->ping(kBytes);
+            }),
+            0)
+      << "connection per call";
+
+  auto shared = NinfClient::connectTcp("127.0.0.1", port_);
+  EXPECT_EQ(failuresOf([&] { shared->ping(kBytes); }), 0) << "shared channel";
+  EXPECT_EQ(shared->channel().negotiatedVersion(), protocol::kVersion2);
+
+  ConnectionPool pool(PoolOptions{.max_idle_per_endpoint = 4});
+  EXPECT_EQ(failuresOf([&] {
+              pool.acquire("srv", countingFactory())->ping(kBytes);
+            }),
+            0)
+      << "pooled";
+  EXPECT_LE(pool.idleCount(), 4u);
+}
+
 TEST_F(PoolFixture, DistinctEndpointsDoNotShareConnections) {
   ConnectionPool pool;
   { auto lease = pool.acquire("a", countingFactory()); }
