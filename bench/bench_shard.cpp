@@ -20,9 +20,9 @@
 //
 // The shard counts must ascend and include one of at least 2 (the
 // failover step needs a backup to promote).  The exit status is the
-// check: 0 when routes/s rose with each shard count, the failover step
-// saw no client error, and promotion took more than 0 and less than 5 s;
-// 1 otherwise; 2 on a usage error.
+// check: 0 when routes/s rose with each shard count, no step saw a client
+// error, and promotion took more than 0 and less than 5 s; 1 otherwise;
+// 2 on a usage error.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -303,6 +303,14 @@ int runShardSweep(const Config& cfg) {
   for (auto& s : servers) s->stop();
 
   bool ok = true;
+  for (const StepResult& step : steady) {
+    if (step.errors != 0) {
+      std::printf("FAIL: steady step at %zu shards surfaced %llu client "
+                  "errors\n",
+                  step.shards, static_cast<unsigned long long>(step.errors));
+      ok = false;
+    }
+  }
   for (std::size_t i = 1; i < steady.size(); ++i) {
     if (steady[i].routes_per_s <= steady[i - 1].routes_per_s) {
       std::printf("FAIL: %zu shards no faster than %zu: %.0f vs %.0f "
@@ -323,8 +331,8 @@ int runShardSweep(const Config& cfg) {
     ok = false;
   }
   if (ok) {
-    std::printf("ok: routes/s rose with each shard count, and the failover "
-                "promoted in (0, %.0f) s with 0 client errors\n",
+    std::printf("ok: routes/s rose with each shard count, no step saw a "
+                "client error, and the failover promoted in (0, %.0f) s\n",
                 kPromotionLimit);
   }
   return ok ? 0 : 1;

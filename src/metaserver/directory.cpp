@@ -44,19 +44,19 @@ void LocalDirectory::addServer(ServerEntry entry) {
   NINF_REQUIRE(entry.factory != nullptr, "server entry needs a factory");
   NINF_REQUIRE(!entry.name.empty(), "server entry needs a name");
   LockGuard lock(mutex_);
-  for (const auto& s : servers_) {
+  for (const auto& s : *servers_) {
     NINF_REQUIRE(s->entry.name != entry.name, "duplicate server name");
   }
-  auto state = std::make_unique<ServerState>();
-  state->entry = std::move(entry);
-  servers_.push_back(std::move(state));
+  auto next = std::make_shared<Table>(*servers_);
+  next->push_back(std::make_shared<ServerState>(std::move(entry)));
+  servers_ = std::move(next);
 }
 
 std::size_t LocalDirectory::indexOfEndpoint(const std::string& endpoint) const {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    if (servers_[i]->entry.endpoint == endpoint) return i;
+  for (std::size_t i = 0; i < servers_->size(); ++i) {
+    if ((*servers_)[i]->entry.endpoint == endpoint) return i;
   }
-  return servers_.size();
+  return servers_->size();
 }
 
 protocol::RegisterResult::Status LocalDirectory::apply(
@@ -64,6 +64,10 @@ protocol::RegisterResult::Status LocalDirectory::apply(
   using Kind = protocol::RegistryOp::Kind;
   using Status = protocol::RegisterResult::Status;
   NINF_REQUIRE(!op.desc.endpoint.empty(), "registry op needs an endpoint");
+  // Declared before the lock, so the replaced table version, and a state
+  // only it held, are torn down (status channel closed) after the lock
+  // is released.
+  std::shared_ptr<const Table> retired;
   LockGuard lock(mutex_);
   // Idempotency: the identical key applied before answers Duplicate
   // without touching the table.  A register retried after a newer op on
@@ -80,9 +84,10 @@ protocol::RegisterResult::Status LocalDirectory::apply(
 
   const std::size_t existing = indexOfEndpoint(op.desc.endpoint);
   if (op.kind == Kind::Deregister) {
-    if (existing < servers_.size()) {
-      servers_.erase(servers_.begin() +
-                     static_cast<std::ptrdiff_t>(existing));
+    if (existing < servers_->size()) {
+      auto next = std::make_shared<Table>(*servers_);
+      next->erase(next->begin() + static_cast<std::ptrdiff_t>(existing));
+      retired = std::exchange(servers_, std::move(next));
       if (rr_next_ > existing) --rr_next_;
     }
     applied_[op.desc.endpoint] = {op.reg_epoch, op.kind};
@@ -100,69 +105,42 @@ protocol::RegisterResult::Status LocalDirectory::apply(
   entry.factory = resolver_(op.desc.endpoint);
   NINF_REQUIRE(entry.factory != nullptr, "resolver produced no factory");
 
-  if (existing < servers_.size()) {
-    // Re-registration (newer epoch): refresh the descriptor in place so
+  auto next = std::make_shared<Table>(*servers_);
+  auto state = std::make_shared<ServerState>(std::move(entry));
+  if (existing < next->size()) {
+    // Re-registration (newer epoch): a fresh state in the same slot, so
     // the candidate list never holds the same endpoint twice.
-    servers_[existing]->entry = std::move(entry);
-    servers_[existing]->reg_epoch = op.reg_epoch;
+    (*next)[existing] = std::move(state);
   } else {
-    for (const auto& s : servers_) {
-      if (s->entry.name == entry.name) {
-        throw Error("server name '" + entry.name +
+    for (const auto& s : *next) {
+      if (s->entry.name == state->entry.name) {
+        throw Error("server name '" + state->entry.name +
                     "' already registered under endpoint " +
                     s->entry.endpoint);
       }
     }
-    auto state = std::make_unique<ServerState>();
-    state->entry = std::move(entry);
-    state->reg_epoch = op.reg_epoch;
-    servers_.push_back(std::move(state));
+    next->push_back(std::move(state));
   }
+  retired = std::exchange(servers_, std::move(next));
   applied_[op.desc.endpoint] = {op.reg_epoch, op.kind};
   return Status::Applied;
 }
 
 std::size_t LocalDirectory::serverCount() const {
   LockGuard lock(mutex_);
-  return servers_.size();
+  return servers_->size();
 }
 
-std::vector<std::string> LocalDirectory::serverNames() const {
+std::shared_ptr<const LocalDirectory::Table> LocalDirectory::table() const {
   LockGuard lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(servers_.size());
-  for (const auto& s : servers_) names.push_back(s->entry.name);
-  return names;
+  return servers_;
 }
 
-std::vector<std::size_t> LocalDirectory::indicesOf(
-    const std::vector<std::string>& names) const {
-  LockGuard lock(mutex_);
-  std::vector<std::size_t> out;
-  for (const auto& name : names) {
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (servers_[i]->entry.name == name) {
-        out.push_back(i);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<LocalDirectory::ServerState*> LocalDirectory::states() const {
-  LockGuard lock(mutex_);
-  std::vector<ServerState*> out;
-  out.reserve(servers_.size());
-  for (const auto& s : servers_) out.push_back(s.get());
-  return out;
-}
-
-LocalDirectory::ServerState* LocalDirectory::findByName(
+LocalDirectory::StatePtr LocalDirectory::stateNamed(
     const std::string& name) const {
   LockGuard lock(mutex_);
-  for (auto& s : servers_) {
-    if (s->entry.name == name) return s.get();
+  for (const auto& s : *servers_) {
+    if (s->entry.name == name) return s;
   }
   return nullptr;
 }
@@ -227,17 +205,17 @@ protocol::ServerStatusInfo LocalDirectory::finishPoll(Poll& poll) {
 
 protocol::ServerStatusInfo LocalDirectory::poll(
     const std::string& server_name) {
-  ServerState* state = findByName(server_name);
+  const StatePtr state = stateNamed(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
   Poll p = startPoll(*state);
   return finishPoll(p);
 }
 
 void LocalDirectory::pollAll() {
-  const std::vector<ServerState*> all = states();
+  const std::shared_ptr<const Table> all = table();
   std::vector<Poll> polls;
-  polls.reserve(all.size());
-  for (ServerState* state : all) polls.push_back(startPoll(*state));
+  polls.reserve(all->size());
+  for (const StatePtr& state : *all) polls.push_back(startPoll(*state));
   for (Poll& p : polls) {
     try {
       finishPoll(p);
@@ -250,17 +228,17 @@ void LocalDirectory::pollAll() {
 
 protocol::ServerStatusInfo LocalDirectory::lastStatus(
     const std::string& server_name) const {
-  ServerState* state = findByName(server_name);
+  const StatePtr state = stateNamed(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
   LockGuard cache(state->mutex);
   return state->last_status;
 }
 
 std::vector<protocol::LivenessRecord> LocalDirectory::livenessDigest() const {
-  const std::vector<ServerState*> all = states();
+  const std::shared_ptr<const Table> all = table();
   std::vector<protocol::LivenessRecord> out;
-  out.reserve(all.size());
-  for (ServerState* st : all) {
+  out.reserve(all->size());
+  for (const StatePtr& st : *all) {
     protocol::LivenessRecord rec;
     LockGuard cache(st->mutex);
     rec.server_name = st->entry.name;
@@ -276,7 +254,7 @@ std::vector<protocol::LivenessRecord> LocalDirectory::livenessDigest() const {
 void LocalDirectory::adoptLiveness(
     const std::vector<protocol::LivenessRecord>& digest) {
   for (const auto& rec : digest) {
-    ServerState* state = findByName(rec.server_name);
+    const StatePtr state = stateNamed(rec.server_name);
     if (!state) continue;
     LockGuard cache(state->mutex);
     state->reachable = rec.reachable != 0;
@@ -287,70 +265,128 @@ void LocalDirectory::adoptLiveness(
   }
 }
 
-std::vector<Candidate> LocalDirectory::snapshot(
+LocalDirectory::Target LocalDirectory::decide(
     const std::string& entry_name, std::span<const protocol::ArgValue> args,
-    const std::vector<std::size_t>& excluded) {
-  // RoundRobin is oblivious: no polling at all.
-  if (policy_ == SchedulingPolicy::RoundRobin) return {};
+    const std::vector<std::string>& excluded) {
+  const std::shared_ptr<const Table> round = table();
+  std::vector<Candidate> candidates(round->size());
+  for (std::size_t i = 0; i < round->size(); ++i) {
+    candidates[i].state = (*round)[i].get();
+  }
+  pollRound(entry_name, args, excluded, candidates);
 
-  const std::vector<ServerState*> all = states();
-  std::vector<Candidate> out(all.size());
-  // First pass, no waiting: settle what the declared entry lists and
-  // the status cache can answer, and send a status poll for the rest.
-  std::vector<std::pair<std::size_t, Poll>> polls;
-  polls.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    Candidate& c = out[i];
-    c.idx = i;
+  bool skipped_cooling = false;
+  const ServerState* picked = nullptr;
+  {
+    LockGuard lock(mutex_);
+    const auto now = std::chrono::steady_clock::now();
+    bool any_cooling = false;
+    for (Candidate& c : candidates) {
+      // Compared by identity: a server deregistered (or re-registered)
+      // during the round is no longer a candidate.
+      if (servers_ != round &&
+          std::none_of(servers_->begin(), servers_->end(),
+                       [&](const StatePtr& s) { return s.get() == c.state; })) {
+        c.eligible = false;
+      }
+      if (!c.eligible) continue;
+      LockGuard cache(c.state->mutex);
+      c.cooling = c.state->cooldown_until > now;
+      any_cooling = any_cooling || c.cooling;
+    }
+    // A server inside its post-failure cooldown window is shunned like
+    // an excluded one — but only while some other candidate remains, so
+    // a fully-cooling pool degrades to "try anyway" instead of failing.
+    if (any_cooling) {
+      try {
+        picked = pickAmong(entry_name, candidates, true).state;
+        skipped_cooling = true;
+      } catch (const NotFoundError&) {
+        // Every non-cooling candidate was unreachable or lacks the
+        // entry; consider the cooling servers too.
+      }
+    }
+    if (!picked) picked = pickAmong(entry_name, candidates, false).state;
+  }
+  if (skipped_cooling) {
+    static obs::Counter& cooldown_skips =
+        obs::counter("metaserver.cooldown_skips");
+    cooldown_skips.add();
+  }
+  // entry is immutable and `round` keeps the state alive, so the target
+  // needs no table lock.
+  Target target{picked->entry.name, picked->entry.endpoint,
+                picked->entry.factory};
+  {
+    LockGuard cache(picked->mutex);
+    target.observed_load = picked->last_status.load_average;
+  }
+  return target;
+}
+
+void LocalDirectory::pollRound(const std::string& entry_name,
+                               std::span<const protocol::ArgValue> args,
+                               const std::vector<std::string>& excluded,
+                               std::vector<Candidate>& candidates) {
+  // First pass, no waiting: settle what the exclusions, the declared
+  // entry lists and the status cache can answer, and send a status poll
+  // for the rest.
+  std::vector<std::pair<Candidate*, Poll>> polls;
+  polls.reserve(candidates.size());
+  for (Candidate& c : candidates) {
+    const ServerEntry& entry = c.state->entry;
     // Excluded: never picked, so never polled either.
-    if (std::find(excluded.begin(), excluded.end(), i) != excluded.end()) {
+    if (std::find(excluded.begin(), excluded.end(), entry.name) !=
+        excluded.end()) {
       continue;
     }
-    ServerState& st = *all[i];
-    // A declared entry list rules the server out without a poll; its
-    // liveness comes from monitor rounds and replicated digests.
-    const auto& entries = st.entry.entries;
-    c.exports = entries.empty() || std::find(entries.begin(), entries.end(),
-                                             entry_name) != entries.end();
+    // A declared entry list rules the server out without a poll, even
+    // for the polling-free RoundRobin policy; its liveness comes from
+    // monitor rounds and replicated digests.
+    if (!entry.entries.empty() &&
+        std::find(entry.entries.begin(), entry.entries.end(), entry_name) ==
+            entry.entries.end()) {
+      continue;
+    }
+    // RoundRobin is oblivious: no polling at all.
+    if (policy_ == SchedulingPolicy::RoundRobin) {
+      c.eligible = true;
+      continue;
+    }
     bool cached = false;
     {
-      LockGuard cache(st.mutex);
-      cached = !c.exports ||
-               (status_freshness_ > 0 && st.reachable &&
-                st.last_status_time > 0 &&
-                nowSeconds() - st.last_status_time <= status_freshness_);
-      c.reachable = st.reachable;
-      c.status = st.last_status;
+      LockGuard cache(c.state->mutex);
+      cached = status_freshness_ > 0 && c.state->reachable &&
+               c.state->last_status_time > 0 &&
+               nowSeconds() - c.state->last_status_time <= status_freshness_;
+      c.eligible = c.state->reachable;
+      c.status = c.state->last_status;
     }
-    if (!cached) polls.emplace_back(i, startPoll(st));
+    if (!cached) polls.emplace_back(&c, startPoll(*c.state));
   }
   // Second pass: collect the round.  Each poll runs against its own
   // deadline, so N stalled servers cost one poll timeout, not N.
-  for (auto& [i, pending] : polls) {
+  for (auto& [c, pending] : polls) {
     try {
-      out[i].status = finishPoll(pending);
-      out[i].reachable = true;
+      c->status = finishPoll(pending);
+      c->eligible = true;
     } catch (const Error&) {
-      out[i].reachable = false;
+      c->eligible = false;
     }
   }
   if (policy_ == SchedulingPolicy::BandwidthAware) {
-    for (Candidate& c : out) {
-      if (c.reachable && c.exports) {
-        describeCall(*all[c.idx], entry_name, args, c);
-      }
+    for (Candidate& c : candidates) {
+      if (c.eligible) describeCall(entry_name, args, c);
     }
   }
-  return out;
 }
 
-void LocalDirectory::describeCall(ServerState& state,
-                                  const std::string& entry_name,
+void LocalDirectory::describeCall(const std::string& entry_name,
                                   std::span<const protocol::ArgValue> args,
                                   Candidate& c) {
   std::shared_ptr<client::NinfClient> monitor;
   try {
-    monitor = monitorOf(state);
+    monitor = monitorOf(*c.state);
     // The interface query rides the monitor connection; the client
     // caches it, so repeat decisions cost no extra I/O.
     const auto& info = monitor->queryInterface(entry_name, poll_timeout_);
@@ -358,154 +394,61 @@ void LocalDirectory::describeCall(ServerState& state,
     c.bytes = static_cast<double>(info.bytesTotal(scalars));
     c.flops = static_cast<double>(info.flopsEstimate(scalars));
   } catch (const NotFoundError&) {
-    c.exports = false;  // reachable, but no such entry there
+    c.eligible = false;  // reachable, but no such entry there
   } catch (const Error&) {
-    markUnreachable(state, monitor);
-    c.reachable = false;
+    markUnreachable(*c.state, monitor);
+    c.eligible = false;
   }
 }
 
-std::size_t LocalDirectory::pick(const std::string& entry_name,
-                                 const std::vector<Candidate>& candidates,
-                                 const std::vector<std::size_t>& excluded) {
-  bool skipped_cooling = false;
-  std::size_t picked = 0;
-  {
-    LockGuard lock(mutex_);
-    // A server inside its post-failure cooldown window is shunned like
-    // an excluded one — but only while some other candidate remains, so
-    // a fully-cooling pool degrades to "try anyway" instead of failing.
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<std::size_t> shunned = excluded;
-    bool any_cooling = false;
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      bool cooling = false;
-      {
-        LockGuard cache(servers_[i]->mutex);
-        cooling = servers_[i]->cooldown_until > now;
-      }
-      if (cooling &&
-          std::find(excluded.begin(), excluded.end(), i) == excluded.end()) {
-        shunned.push_back(i);
-        any_cooling = true;
-      }
-    }
-    if (any_cooling && shunned.size() < servers_.size()) {
-      try {
-        picked = pickAmong(entry_name, candidates, shunned);
-        skipped_cooling = true;
-      } catch (const NotFoundError&) {
-        // Every non-cooling candidate was unreachable or lacks the
-        // entry; fall through and consider the cooling servers too.
-      }
-    }
-    if (!skipped_cooling) {
-      picked = pickAmong(entry_name, candidates, excluded);
-    }
-  }
-  if (skipped_cooling) {
-    static obs::Counter& cooldown_skips =
-        obs::counter("metaserver.cooldown_skips");
-    cooldown_skips.add();
-  }
-  return picked;
-}
-
-std::size_t LocalDirectory::pickAmong(
+const LocalDirectory::Candidate& LocalDirectory::pickAmong(
     const std::string& entry_name, const std::vector<Candidate>& candidates,
-    const std::vector<std::size_t>& excluded) {
-  NINF_REQUIRE(!servers_.empty(), "metaserver has no servers");
-  auto isExcluded = [&](std::size_t i) {
-    return std::find(excluded.begin(), excluded.end(), i) != excluded.end();
+    bool shun_cooling) {
+  auto usable = [&](const Candidate& c) {
+    return c.eligible && !(shun_cooling && c.cooling);
   };
-  // A declared entry list excludes a server from this entry's candidates
-  // even for the polling-free RoundRobin policy.
-  auto exportsEntry = [&](std::size_t i) {
-    const auto& entries = servers_[i]->entry.entries;
-    return entries.empty() ||
-           std::find(entries.begin(), entries.end(), entry_name) !=
-               entries.end();
-  };
-  switch (policy_) {
-    case SchedulingPolicy::RoundRobin: {
-      for (std::size_t step = 0; step < servers_.size(); ++step) {
-        const std::size_t idx = rr_next_ % servers_.size();
-        rr_next_ = (rr_next_ + 1) % servers_.size();
-        if (!isExcluded(idx) && exportsEntry(idx)) return idx;
+  if (policy_ == SchedulingPolicy::RoundRobin) {
+    const Table& table = *servers_;
+    for (std::size_t step = 0; step < table.size(); ++step) {
+      const ServerState* next = table[rr_next_ % table.size()].get();
+      rr_next_ = (rr_next_ + 1) % table.size();
+      for (const Candidate& c : candidates) {
+        if (c.state == next && usable(c)) return c;
       }
-      throw NotFoundError("every server excluded for '" + entry_name + "'");
     }
-    case SchedulingPolicy::LeastLoad: {
-      std::size_t best = servers_.size();
-      double best_load = std::numeric_limits<double>::infinity();
-      for (const auto& c : candidates) {
-        if (isExcluded(c.idx) || !c.reachable || !c.exports) continue;
-        // Include calls we have routed but whose status poll may not yet
-        // reflect, so bursts spread instead of piling on one server.
-        const double load =
-            c.status.load_average + c.status.running + c.status.queued;
-        if (load < best_load) {
-          best_load = load;
-          best = c.idx;
-        }
-      }
-      if (best == servers_.size()) {
-        throw NotFoundError("no reachable server for '" + entry_name + "'");
-      }
-      return best;
-    }
-    case SchedulingPolicy::BandwidthAware: {
-      std::size_t best = servers_.size();
-      double best_eta = std::numeric_limits<double>::infinity();
-      for (const auto& c : candidates) {
-        if (isExcluded(c.idx) || !c.reachable || !c.exports) continue;
-        const auto& entry = servers_[c.idx]->entry;
-        const double eta = estimateCompletion(
-            c.bytes, c.flops, entry.bandwidth_bps, entry.perf_flops,
-            static_cast<double>(c.status.running + c.status.queued));
-        if (eta < best_eta) {
-          best_eta = eta;
-          best = c.idx;
-        }
-      }
-      if (best == servers_.size()) {
-        throw NotFoundError("no server exports '" + entry_name + "'");
-      }
-      return best;
+    throw NotFoundError("every server excluded for '" + entry_name + "'");
+  }
+  // LeastLoad and BandwidthAware: the candidate with the lowest score.
+  const Candidate* best = nullptr;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (const Candidate& c : candidates) {
+    if (!usable(c)) continue;
+    const double jobs =
+        static_cast<double>(c.status.running) + c.status.queued;
+    // LeastLoad adds running and queued calls the load average may not
+    // reflect yet, so bursts spread instead of piling on one server.
+    const double score =
+        policy_ == SchedulingPolicy::LeastLoad
+            ? c.status.load_average + jobs
+            : estimateCompletion(c.bytes, c.flops,
+                                 c.state->entry.bandwidth_bps,
+                                 c.state->entry.perf_flops, jobs);
+    if (score < best_score) {
+      best_score = score;
+      best = &c;
     }
   }
-  throw Error("unreachable policy");
+  if (!best) {
+    throw NotFoundError("no reachable server for '" + entry_name + "'");
+  }
+  return *best;
 }
 
-Directory::Target LocalDirectory::acquireTarget(std::size_t idx) {
-  ServerState* picked = nullptr;
-  {
-    LockGuard lock(mutex_);
-    NINF_REQUIRE(idx < servers_.size(), "target index out of range");
-    picked = servers_[idx].get();
-  }
-  // entry is immutable while dispatches run and the state address is
-  // stable (unique_ptr), so the rest needs no global lock.
-  Target target;
-  target.name = picked->entry.name;
-  target.endpoint = picked->entry.endpoint;
-  target.factory = picked->entry.factory;
-  {
-    LockGuard cache(picked->mutex);
-    ++picked->dispatched;
-    target.observed_load = picked->last_status.load_average;
-  }
-  return target;
-}
-
-void LocalDirectory::noteFailure(std::size_t idx, double cooldown_seconds) {
+void LocalDirectory::noteFailure(const std::string& server_name,
+                                 double cooldown_seconds) {
   if (cooldown_seconds <= 0) return;
-  ServerState* state = nullptr;
-  {
-    LockGuard lock(mutex_);
-    if (idx >= servers_.size()) return;
-    state = servers_[idx].get();
-  }
+  const StatePtr state = stateNamed(server_name);
+  if (!state) return;
   LockGuard cache(state->mutex);
   state->cooldown_until =
       std::chrono::steady_clock::now() +

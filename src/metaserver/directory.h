@@ -1,16 +1,21 @@
 // The metaserver directory layer: registry storage, the liveness cache,
-// and candidate picking, extracted from the monolithic Metaserver so the
-// dispatch logic no longer owns any server state.
+// and the routing decision, so neither dispatcher owns any server state.
 //
 // Layering (see docs/ARCHITECTURE.md, "Metaserver layering"):
 //
-//   dispatch loops (Metaserver, MetaserverNode)      — stateless policy
-//        │ Directory interface                          orchestration
-//        ▼
+//   Metaserver, MetaserverNode                       — callers: each asks
+//        │ decide(entry, args, excluded names)          one decision per
+//        ▼                                              attempt
 //   LocalDirectory                                   — server table,
 //        │                                              status cache,
 //        ▼                                              policy selection
 //   replication (log shipping), ring (sharding)      — scale-out
+//
+// The table is copy-on-write: a decision holds the version it started
+// from, and every server state in it, through one shared_ptr, and picks
+// by identity among the servers still registered.  So a Deregister
+// applied while its poll round runs can neither free a state under it
+// nor shift the pick onto another server.
 //
 // Two write paths feed a LocalDirectory:
 //  * addServer(): the historical in-process path — caller supplies a
@@ -39,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "client/connection_pool.h"
 #include "client/dispatcher.h"
 #include "common/sync.h"
 #include "protocol/message.h"
@@ -73,26 +77,14 @@ struct ServerEntry {
 double estimateCompletion(double bytes, double flops, double bandwidth_bps,
                           double perf_flops, double queue_depth);
 
-/// One scheduling-round snapshot of a server, produced by snapshot()
-/// with no global lock held during I/O.
-struct Candidate {
-  std::size_t idx = 0;
-  bool reachable = false;
-  bool exports = true;  // entry known to this server (BandwidthAware)
-  double bytes = 0.0;   // wire bytes of this call (BandwidthAware)
-  double flops = 0.0;   // flop estimate of this call (BandwidthAware)
-  protocol::ServerStatusInfo status;
-};
-
 /// Reconstructs a connection factory from a replicated endpoint string.
 /// Must be thread-safe; called while applying ops and after promotions.
 using FactoryResolver =
     std::function<client::ConnectionFactory(const std::string& endpoint)>;
 
-/// What the dispatch layers see: a read-mostly candidate store.  Dispatch
-/// logic snapshots candidates, picks one, acquires its target, and
-/// reports failures back — it never touches server state directly.
-class Directory {
+/// The server table, the liveness cache and the scheduling policies.
+/// Thread-safe; see the lock comments on each member.
+class LocalDirectory {
  public:
   /// Everything a dispatcher needs to reach one picked server.
   struct Target {
@@ -103,41 +95,6 @@ class Directory {
     double observed_load = 0.0;
   };
 
-  virtual ~Directory() = default;
-
-  virtual SchedulingPolicy policy() const = 0;
-  virtual std::size_t serverCount() const = 0;
-
-  /// Poll every non-excluded server that exports the entry (honoring
-  /// the freshness window) and return the snapshot the policies decide
-  /// over.  All network I/O happens here, with no directory lock held
-  /// across it: every needed poll is sent before any reply is awaited,
-  /// so one decision costs one poll round.
-  virtual std::vector<Candidate> snapshot(
-      const std::string& entry_name,
-      std::span<const protocol::ArgValue> args,
-      const std::vector<std::size_t>& excluded) = 0;
-
-  /// Policy selection over a snapshot, with cooling servers shunned
-  /// while any other candidate remains.  Throws NotFoundError when no
-  /// candidate is eligible.
-  virtual std::size_t pick(const std::string& entry_name,
-                           const std::vector<Candidate>& candidates,
-                           const std::vector<std::size_t>& excluded) = 0;
-
-  /// Resolve a picked index to its connection info and count the
-  /// dispatch against it.
-  virtual Target acquireTarget(std::size_t idx) = 0;
-
-  /// A dispatch through `idx` failed: start its cooldown window so a
-  /// flapping server is not immediately re-picked (0 disables).
-  virtual void noteFailure(std::size_t idx, double cooldown_seconds) = 0;
-};
-
-/// The concrete directory: server table + liveness cache + policies.
-/// Thread-safe; see the lock comments on each member.
-class LocalDirectory : public Directory {
- public:
   explicit LocalDirectory(SchedulingPolicy policy = SchedulingPolicy::LeastLoad)
       : policy_(policy) {}
 
@@ -159,7 +116,26 @@ class LocalDirectory : public Directory {
   /// present); Deregister of an unknown endpoint is a Duplicate, not an
   /// error — a retried dereg whose first try won must succeed quietly.
   protocol::RegisterResult::Status apply(const protocol::RegistryOp& op);
-  std::vector<std::string> serverNames() const;
+  SchedulingPolicy policy() const { return policy_; }
+  std::size_t serverCount() const;
+
+  // ---- scheduling ----
+  /// One routing decision for a call of `entry_name`.  Takes the current
+  /// table version, then polls every server that is not excluded and
+  /// exports the entry (reusing statuses younger than the freshness
+  /// window) with no lock held: every poll is sent before any reply is
+  /// awaited, so one decision costs one poll round.  Then it picks by
+  /// policy among the servers still registered, compared by identity, so
+  /// a server deregistered during the round is never picked.  Cooling
+  /// servers are shunned while any other candidate remains.  Throws
+  /// NotFoundError when no candidate is eligible, an empty table
+  /// included.
+  Target decide(const std::string& entry_name,
+                std::span<const protocol::ArgValue> args,
+                const std::vector<std::string>& excluded);
+  /// A dispatch to `server_name` failed: start its cooldown window so a
+  /// flapping server is not immediately re-picked (0 disables).
+  void noteFailure(const std::string& server_name, double cooldown_seconds);
 
   // ---- liveness ----
   /// Poll a server's status.  Always does the wire round-trip; the
@@ -177,30 +153,11 @@ class LocalDirectory : public Directory {
   /// the world cold.  Unknown server names are ignored.
   void adoptLiveness(const std::vector<protocol::LivenessRecord>& digest);
 
-  /// Translate server names to table indices (unknown names skipped) —
-  /// the wire ScheduleQuery carries names, the picker wants indices.
-  std::vector<std::size_t> indicesOf(
-      const std::vector<std::string>& names) const;
-
-  // ---- Directory interface ----
-  SchedulingPolicy policy() const override { return policy_; }
-  std::size_t serverCount() const override;
-  std::vector<Candidate> snapshot(
-      const std::string& entry_name,
-      std::span<const protocol::ArgValue> args,
-      const std::vector<std::size_t>& excluded) override;
-  std::size_t pick(const std::string& entry_name,
-                   const std::vector<Candidate>& candidates,
-                   const std::vector<std::size_t>& excluded) override;
-  Target acquireTarget(std::size_t idx) override;
-  void noteFailure(std::size_t idx, double cooldown_seconds) override;
-
  private:
   struct ServerState {
-    ServerEntry entry;  // mutable only under the owning directory's mutex_
-    /// Registration epoch of the op that produced this entry (0 for
-    /// addServer) — half of the idempotency key.
-    std::uint64_t reg_epoch = 0;
+    explicit ServerState(ServerEntry e) : entry(std::move(e)) {}
+    /// Immutable: a re-registration installs a fresh state instead.
+    const ServerEntry entry;
     /// Guards the lazy dial of `monitor` and the slot, nothing more.
     /// Each poller copies the pointer out and runs its I/O with no
     /// directory lock held, so polls to one server share its channel.
@@ -218,16 +175,31 @@ class LocalDirectory : public Directory {
     /// Steady seconds; 0 = never polled.
     double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
     bool reachable NINF_GUARDED_BY(mutex) = false;
-    /// Calls routed here by the metaserver.
-    std::uint64_t dispatched NINF_GUARDED_BY(mutex) = 0;
     /// Until this instant the server is shunned after a failed dispatch.
     std::chrono::steady_clock::time_point cooldown_until
         NINF_GUARDED_BY(mutex){};
+  };
+  /// Shared between table versions, so a state outlives its Deregister
+  /// for as long as a decision or a poll still holds it.
+  using StatePtr = std::shared_ptr<ServerState>;
+  using Table = std::vector<StatePtr>;
+
+  /// One server as a decision sees it.
+  struct Candidate {
+    ServerState* state = nullptr;  // kept alive by the decision's Table
+    /// Not excluded, exports the entry, and (polling policies) answered.
+    bool eligible = false;
+    /// Inside its cooldown window when the pick ran.
+    bool cooling = false;
+    double bytes = 0.0;  // wire bytes of this call (BandwidthAware)
+    double flops = 0.0;  // flop estimate of this call (BandwidthAware)
+    protocol::ServerStatusInfo status;
   };
 
   /// One status poll in flight.  startPoll sends the request;
   /// finishPoll waits for the reply and records the outcome.
   struct Poll {
+    /// Kept alive by the caller's Table or StatePtr.
     ServerState* state = nullptr;
     std::shared_ptr<client::NinfClient> monitor;
     /// Declared after `monitor`, so it is destroyed first.
@@ -238,22 +210,29 @@ class LocalDirectory : public Directory {
   Poll startPoll(ServerState& state);
   /// Throws what the poll failed with, after markUnreachable.
   protocol::ServerStatusInfo finishPoll(Poll& poll);
+  /// The decision's poll round, with no directory lock held: settles
+  /// each candidate's eligibility and status.
+  void pollRound(const std::string& entry_name,
+                 std::span<const protocol::ArgValue> args,
+                 const std::vector<std::string>& excluded,
+                 std::vector<Candidate>& candidates);
   /// BandwidthAware: the call's bytes and flops on one candidate, from
   /// the interface its monitor client caches.
-  void describeCall(ServerState& state, const std::string& entry_name,
+  void describeCall(const std::string& entry_name,
                     std::span<const protocol::ArgValue> args, Candidate& c);
   std::shared_ptr<client::NinfClient> monitorOf(ServerState& state);
   /// A poll or query on `failed` failed: mark the server unreachable
   /// and forget that monitor, unless a newer one already replaced it.
   void markUnreachable(ServerState& state,
                        const std::shared_ptr<client::NinfClient>& failed);
-  /// The raw policy switch, honoring only the explicit exclusions.
-  std::size_t pickAmong(const std::string& entry_name,
-                        const std::vector<Candidate>& candidates,
-                        const std::vector<std::size_t>& excluded)
-      NINF_REQUIRES(mutex_);
-  std::vector<ServerState*> states() const;
-  ServerState* findByName(const std::string& name) const;
+  /// The raw policy switch over eligible candidates, skipping cooling
+  /// ones when `shun_cooling`.
+  const Candidate& pickAmong(const std::string& entry_name,
+                             const std::vector<Candidate>& candidates,
+                             bool shun_cooling) NINF_REQUIRES(mutex_);
+  /// The current table version, for work done with no lock held.
+  std::shared_ptr<const Table> table() const;
+  StatePtr stateNamed(const std::string& name) const;
   std::size_t indexOfEndpoint(const std::string& endpoint) const
       NINF_REQUIRES(mutex_);
 
@@ -265,9 +244,9 @@ class LocalDirectory : public Directory {
   /// applied-op tombstones; cached per-server state lives under each
   /// ServerState's own mutex.
   mutable Mutex mutex_{"directory.global"};
-  /// unique_ptr for stable addresses: per-state mutexes are held while
-  /// the vector may grow under addServer/apply.
-  std::vector<std::unique_ptr<ServerState>> servers_ NINF_GUARDED_BY(mutex_);
+  /// Never modified once installed: a write installs a modified copy.
+  std::shared_ptr<const Table> servers_ NINF_GUARDED_BY(mutex_) =
+      std::make_shared<const Table>();
   std::size_t rr_next_ NINF_GUARDED_BY(mutex_) = 0;
   /// Last applied (reg_epoch, kind) per endpoint — kept for endpoints
   /// whose server was deregistered too, so stale retries of either op

@@ -15,13 +15,14 @@
 //                      bandwidth, and the polled load, then pick the
 //                      minimum.
 //
-// This class is the in-process dispatch orchestrator: the fault-tolerant
-// retry loop, the monitoring thread, and the transaction runner.  All
-// server state — the registry table, the liveness cache, and the policy
-// switch itself — lives in the LocalDirectory it owns (directory.h); the
-// dispatch loop only sees the abstract Directory interface.  The sharded
+// This class is the in-process dispatcher: it routes each attempt through
+// one LocalDirectory::decide call and runs the call through the
+// retry-elsewhere loop it shares with ShardedMetaserver (failover.h).  It
+// also owns the monitoring thread and the transaction runner.  All server
+// state — the registry table, the liveness cache, and the policy switch
+// itself — lives in the LocalDirectory (directory.h).  The sharded
 // control plane (ring.h, replication.h, node.h) reuses the same
-// directory layer behind wire RPCs.
+// directory behind wire RPCs.
 #pragma once
 
 #include <chrono>
@@ -54,11 +55,6 @@ class Metaserver : public client::CallDispatcher {
   /// healthy alternative remains.
   void setMaxFailovers(std::size_t retries) { max_failovers_ = retries; }
   std::size_t maxFailovers() const { return max_failovers_; }
-
-  /// First sleep between failover attempts, seconds; doubles per attempt
-  /// (capped at 1 s).  0 disables the backoff.
-  void setFailoverBackoff(double seconds) { failover_backoff_ = seconds; }
-  double failoverBackoff() const { return failover_backoff_; }
 
   /// How long a server that just failed a dispatch is shunned by the
   /// scheduling policies.  A cooling server is only picked when every
@@ -107,10 +103,11 @@ class Metaserver : public client::CallDispatcher {
       const std::string& name,
       std::span<const protocol::ArgValue> args) override;
 
-  /// Deadline/retry-aware dispatch: opts.deadline_seconds bounds the
-  /// whole fault-tolerant execution (every attempt's wire I/O plus the
-  /// backoff sleeps; TimeoutError on expiry), and opts.retries, when
-  /// non-zero, overrides maxFailovers() for this call.
+  /// Deadline/retry-aware dispatch (callWithFailover, failover.h):
+  /// opts.deadline_seconds bounds the whole fault-tolerant execution
+  /// (every attempt's wire I/O plus the backoff sleeps, which start at
+  /// opts.backoff_seconds; TimeoutError on expiry), and opts.retries,
+  /// when non-zero, overrides maxFailovers() for this call.
   client::CallResult dispatch(const std::string& name,
                               std::span<const protocol::ArgValue> args,
                               const client::CallOptions& opts) override;
@@ -136,7 +133,6 @@ class Metaserver : public client::CallDispatcher {
  private:
   // Tuning knobs: set before concurrent dispatch begins.
   std::size_t max_failovers_ = 2;
-  double failover_backoff_ = 0.02;
   double cooldown_seconds_ = 2.0;
 
   LocalDirectory dir_;

@@ -65,6 +65,7 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
   }
 
   accept_thread_ = std::thread([this] {
+    std::uint64_t next_id = 0;
     while (!stopping_.load()) {
       std::unique_ptr<transport::Stream> stream;
       try {
@@ -77,10 +78,29 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
       }
       if (!stream) break;  // listener closed
       auto shared = std::shared_ptr<transport::Stream>(std::move(stream));
-      LockGuard lock(conn_mutex_);
-      conn_streams_.push_back(shared);
-      conn_threads_.emplace_back(
-          [this, s = std::move(shared)] { serveConnection(*s); });
+      // Join the connections that finished since the last accept, so a
+      // node's threads and stacks track its live connections.
+      std::vector<std::thread> finished;
+      {
+        LockGuard lock(conn_mutex_);
+        for (const std::uint64_t id : finished_) {
+          const auto it = conns_.find(id);
+          finished.push_back(std::move(it->second.thread));
+          conns_.erase(it);
+        }
+        finished_.clear();
+        // Started under the lock, so the thread's exit cannot report
+        // its id before the entry exists.
+        const std::uint64_t id = next_id++;
+        Conn& conn = conns_[id];
+        conn.stream = shared;
+        conn.thread = std::thread([this, id, s = std::move(shared)] {
+          serveConnection(*s);
+          LockGuard done(conn_mutex_);
+          finished_.push_back(id);
+        });
+      }
+      for (auto& t : finished) t.join();
     }
   });
 }
@@ -91,18 +111,16 @@ void MetaserverNode::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (watchdog_.joinable()) watchdog_.join();
   if (repl_) repl_->stop();
-  std::vector<std::thread> conns;
-  std::vector<std::weak_ptr<transport::Stream>> streams;
+  std::map<std::uint64_t, Conn> conns;
   {
     LockGuard lock(conn_mutex_);
-    conns.swap(conn_threads_);
-    streams.swap(conn_streams_);
+    conns.swap(conns_);
   }
-  for (auto& weak : streams) {
-    if (auto s = weak.lock()) s->close();
+  for (auto& [id, conn] : conns) {
+    if (auto s = conn.stream.lock()) s->close();
   }
-  for (auto& t : conns) {
-    if (t.joinable()) t.join();
+  for (auto& [id, conn] : conns) {
+    if (conn.thread.joinable()) conn.thread.join();
   }
 }
 
@@ -249,26 +267,20 @@ void MetaserverNode::handleScheduleQuery(
 
   // Failed servers reported by the client start their cooldown here, so
   // the knowledge outlives this one query and shields other clients.
-  const auto excluded = dir_.indicesOf(req.excluded);
-  for (const std::size_t idx : excluded) {
-    dir_.noteFailure(idx, opts_.cooldown_seconds);
+  for (const std::string& name : req.excluded) {
+    dir_.noteFailure(name, opts_.cooldown_seconds);
   }
 
   protocol::ScheduleChoice choice;
   choice.shard_epoch = epoch_.load(std::memory_order_acquire);
-  // An empty registry falls through to the empty choice too: over the
-  // wire "no servers yet" and "no reachable candidate" look alike.
-  if (dir_.serverCount() > 0) {
-    try {
-      const auto candidates = dir_.snapshot(req.entry, {}, excluded);
-      const std::size_t idx = dir_.pick(req.entry, candidates, excluded);
-      const Directory::Target target = dir_.acquireTarget(idx);
-      choice.server_name = target.name;
-      choice.endpoint = target.endpoint;
-    } catch (const NotFoundError&) {
-      // Empty server_name = "no reachable candidate"; the client raises
-      // the typed NotFoundError on its side.
-    }
+  try {
+    LocalDirectory::Target target = dir_.decide(req.entry, {}, req.excluded);
+    choice.server_name = std::move(target.name);
+    choice.endpoint = std::move(target.endpoint);
+  } catch (const NotFoundError&) {
+    // Empty server_name = "no reachable candidate", an empty registry
+    // included: over the wire the two look alike, and the client raises
+    // the typed NotFoundError on its side.
   }
   xdr::Encoder enc;
   choice.encode(enc);

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -148,10 +149,16 @@ class MetaserverNode {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::thread watchdog_;
+  /// One accepted connection and the thread serving it.
+  struct Conn {
+    std::thread thread;
+    std::weak_ptr<transport::Stream> stream;  // closed by stop()
+  };
   Mutex conn_mutex_{"node.conns"};
-  std::vector<std::thread> conn_threads_ NINF_GUARDED_BY(conn_mutex_);
-  std::vector<std::weak_ptr<transport::Stream>> conn_streams_
-      NINF_GUARDED_BY(conn_mutex_);
+  std::map<std::uint64_t, Conn> conns_ NINF_GUARDED_BY(conn_mutex_);
+  /// Ids of connections whose thread has returned; the accept loop
+  /// joins and erases them.
+  std::vector<std::uint64_t> finished_ NINF_GUARDED_BY(conn_mutex_);
 };
 
 }  // namespace ninf::metaserver

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "metaserver/failover.h"
 #include "protocol/message.h"
 
 namespace ninf::metaserver {
@@ -210,41 +211,19 @@ client::CallResult ShardedMetaserver::dispatch(
 client::CallResult ShardedMetaserver::dispatch(
     const std::string& name, std::span<const protocol::ArgValue> args,
     const client::CallOptions& opts) {
-  const auto deadline =
-      opts.deadline_seconds > 0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   opts.deadline_seconds))
-          : kUnbounded;
-  const std::size_t failovers =
-      opts.retries > 0 ? opts.retries : opts_.max_failovers;
-  double backoff = opts.backoff_seconds;
-  std::vector<std::string> failed;
-  for (std::size_t attempt = 0;; ++attempt) {
-    const protocol::ScheduleChoice choice = route(name, failed, deadline);
-    auto lease = data_pool_.acquire(
-        choice.endpoint, [&] { return opts_.server_dialer(choice.endpoint); });
-    try {
-      client::CallOptions sub;  // single attempt; we do our own failover
-      if (deadline != kUnbounded) {
-        sub.deadline_seconds = std::max(
-            0.001,
-            std::chrono::duration<double>(deadline - Clock::now()).count());
-      }
-      return lease->call(name, args, sub);
-    } catch (const TransportError&) {
-      lease.discard();
-      failed.push_back(choice.server_name);
-      if (attempt >= failovers) throw;
-      if (deadline != kUnbounded && Clock::now() >= deadline) throw;
-      NINF_LOG(Debug) << "dispatch('" << name << "'): server "
-                      << choice.server_name << " failed; failing over";
-      if (backoff > 0) {
-        boundedSleep(backoff, deadline);
-        backoff = std::min(backoff * 2, 1.0);
-      }
-    }
-  }
+  // The failed servers ride the next ScheduleQuery, so the owning shard
+  // starts their cooldown; no failure callback is needed here.
+  return callWithFailover(
+      name, args, opts, opts_.max_failovers, data_pool_,
+      [&](const std::vector<std::string>& excluded,
+          Clock::time_point deadline) {
+        protocol::ScheduleChoice choice = route(name, excluded, deadline);
+        return Route{std::move(choice.server_name), choice.endpoint,
+                     [this, endpoint = choice.endpoint] {
+                       return opts_.server_dialer(endpoint);
+                     }};
+      },
+      nullptr);
 }
 
 std::vector<protocol::RegisterResult> ShardedMetaserver::registerServer(

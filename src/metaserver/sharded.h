@@ -20,9 +20,10 @@
 // Failure envelope: route() keeps trying (primary, then backup, refresh,
 // backoff) until its deadline; with no deadline the rounds are bounded
 // so a dead cluster still surfaces a typed TransportError.  Dispatch
-// failovers across computing servers mirror the in-process metaserver:
-// a failed server's name joins the excluded list the next ScheduleQuery
-// carries, so the owning shard starts its cooldown.
+// failovers across computing servers run the loop the in-process
+// metaserver runs (callWithFailover, failover.h), with route() as its
+// routing step: a failed server's name joins the excluded list the next
+// ScheduleQuery carries, so the owning shard starts its cooldown.
 #pragma once
 
 #include <chrono>

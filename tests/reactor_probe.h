@@ -1,6 +1,6 @@
-// Observation helpers for tests of the reactor-served server: process
-// thread count, resident memory and CPU time, the reactor's connection
-// gauge, and a bounded wait.
+// Observation helpers for tests of the reactor-served server and the
+// metaserver node: process thread count, resident memory and CPU time,
+// the reactor's connection gauge, and a bounded wait.
 #pragma once
 
 #include <time.h>

@@ -269,7 +269,6 @@ TEST_P(ChaosMetaserver, DispatchReturnsCorrectResultOrTypedErrorInTime) {
   auto plan = std::make_shared<FaultPlan>(seed, specForSeed(seed));
 
   metaserver::Metaserver meta(metaserver::SchedulingPolicy::RoundRobin);
-  meta.setFailoverBackoff(0.001);
   meta.setServerCooldown(0.05);
   const auto faulty_port = ports_[0];
   meta.addServer({.name = "faulty",
@@ -287,6 +286,7 @@ TEST_P(ChaosMetaserver, DispatchReturnsCorrectResultOrTypedErrorInTime) {
   CallOptions opts;
   opts.deadline_seconds = kDeadlineSeconds;
   opts.retries = 4;
+  opts.backoff_seconds = 0.001;
 
   constexpr std::int64_t kSamples = 256;
   const auto expected = numlib::runEp(0, kSamples);

@@ -262,7 +262,6 @@ class CooldownFixture : public ::testing::Test {
 TEST_F(CooldownFixture, CooldownSkipsFlappingServer) {
   metaserver::Metaserver meta(metaserver::SchedulingPolicy::RoundRobin);
   meta.setServerCooldown(60.0);
-  meta.setFailoverBackoff(0.001);
   // server-0 flaps: every connection attempt dies.
   meta.addServer({.name = "server-0",
                   .factory =
@@ -275,10 +274,12 @@ TEST_F(CooldownFixture, CooldownSkipsFlappingServer) {
   std::vector<ArgValue> args = {ArgValue::inInt(0), ArgValue::inInt(64),
                                 ArgValue::outArray(sums),
                                 ArgValue::outArray(q)};
+  client::CallOptions opts;
+  opts.backoff_seconds = 0.001;
   // First dispatch: round-robin picks server-0, which fails and enters
   // cooldown; the failover lands on server-1.
   obs::Counter& failovers = obs::counter("metaserver.failovers");
-  meta.dispatch("ep", args);
+  meta.dispatch("ep", args, opts);
   EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 64).sx);
   const auto failovers_after_first = failovers.value();
   EXPECT_GE(failovers_after_first, 1u);
@@ -289,7 +290,7 @@ TEST_F(CooldownFixture, CooldownSkipsFlappingServer) {
   const auto skips_before = skips.value();
   for (int i = 0; i < 3; ++i) {
     sums.assign(2, 0.0);
-    meta.dispatch("ep", args);
+    meta.dispatch("ep", args, opts);
     EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 64).sx);
   }
   EXPECT_EQ(failovers.value(), failovers_after_first);
@@ -299,7 +300,6 @@ TEST_F(CooldownFixture, CooldownSkipsFlappingServer) {
 TEST_F(CooldownFixture, AllCoolingFallsBackToTryingAnyway) {
   metaserver::Metaserver meta(metaserver::SchedulingPolicy::RoundRobin);
   meta.setServerCooldown(60.0);
-  meta.setFailoverBackoff(0.0);
   // The only server fails exactly once, then recovers.
   auto flaked = std::make_shared<std::atomic<bool>>(false);
   const auto port = port_;
@@ -315,18 +315,19 @@ TEST_F(CooldownFixture, AllCoolingFallsBackToTryingAnyway) {
   std::vector<ArgValue> args = {ArgValue::inInt(0), ArgValue::inInt(32),
                                 ArgValue::outArray(sums),
                                 ArgValue::outArray(q)};
+  client::CallOptions opts;
+  opts.backoff_seconds = 0.0;
   // First dispatch fails over but has no alternative: typed error.
-  EXPECT_THROW(meta.dispatch("ep", args), TransportError);
+  EXPECT_THROW(meta.dispatch("ep", args, opts), TransportError);
   // Second dispatch: the server is cooling, but it is the whole pool, so
   // the cooldown must not strand the call.
-  meta.dispatch("ep", args);
+  meta.dispatch("ep", args, opts);
   EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 32).sx);
 }
 
 TEST_F(CooldownFixture, ExhaustedFailoverRethrowsTransportRootCause) {
   metaserver::Metaserver meta(metaserver::SchedulingPolicy::RoundRobin);
   meta.setMaxFailovers(4);
-  meta.setFailoverBackoff(0.0);
   meta.setServerCooldown(0.0);
   for (int i = 0; i < 2; ++i) {
     meta.addServer({.name = "server-" + std::to_string(i),
@@ -338,8 +339,10 @@ TEST_F(CooldownFixture, ExhaustedFailoverRethrowsTransportRootCause) {
   std::vector<ArgValue> args = {ArgValue::inInt(0), ArgValue::inInt(16),
                                 ArgValue::outArray(sums),
                                 ArgValue::outArray(q)};
+  client::CallOptions opts;
+  opts.backoff_seconds = 0.0;
   try {
-    meta.dispatch("ep", args);
+    meta.dispatch("ep", args, opts);
     FAIL() << "expected TransportError";
   } catch (const NotFoundError&) {
     FAIL() << "root-cause transport error masked as NotFoundError";
@@ -369,7 +372,6 @@ TEST_F(CooldownFixture, DispatchDeadlineTripsOnStalledServer) {
 
   metaserver::Metaserver meta(metaserver::SchedulingPolicy::RoundRobin);
   meta.setMaxFailovers(0);
-  meta.setFailoverBackoff(0.0);
   meta.addServer({.name = "stalled",
                   .factory = [stalled_port] {
                     return NinfClient::connectTcp("127.0.0.1", stalled_port);
@@ -380,6 +382,7 @@ TEST_F(CooldownFixture, DispatchDeadlineTripsOnStalledServer) {
                                 ArgValue::outArray(q)};
   client::CallOptions opts;
   opts.deadline_seconds = 0.2;
+  opts.backoff_seconds = 0.0;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(meta.dispatch("ep", args, opts), TimeoutError);
   EXPECT_LT(secondsSince(start), 5.0);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -392,6 +393,40 @@ TEST(MetaserverPollRound, MuteServersCostOnePollTimeout) {
   for (const auto& rec : meta.directory().livenessDigest()) {
     EXPECT_EQ(rec.reachable, 0u) << rec.server_name;
   }
+}
+
+TEST(MetaserverPollRound, ServerDeregisteredDuringTheRoundIsNeverPicked) {
+  // The decision waits 200 ms on a's poll; meanwhile a is deregistered.
+  // The pick must be the least-loaded server still registered, b — not
+  // whichever server slid into a table slot the round started with.
+  ScriptedStatusPeers peers;
+  Metaserver meta(SchedulingPolicy::LeastLoad);
+  meta.setStatusFreshness(0.0);
+  const std::vector<std::pair<std::string, double>> servers = {
+      {"a", 5}, {"b", 0}, {"c", 2}};
+  for (const auto& [name, load] : servers) {
+    ServerEntry e = entryOf(
+        name, peers.factory(load, std::chrono::milliseconds(
+                                      name == "a" ? 200 : 0)));
+    e.endpoint = name + ":7000";
+    meta.addServer(std::move(e));
+  }
+  // Dial and negotiate every status channel first, so the next round's
+  // polls are all sent before the deregistration lands.
+  ASSERT_EQ(meta.chooseServer("ep", {}), "b");
+
+  auto decision = std::async(std::launch::async,
+                             [&] { return meta.chooseServer("ep", {}); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  protocol::RegistryOp dereg;
+  dereg.kind = protocol::RegistryOp::Kind::Deregister;
+  dereg.reg_epoch = 1;
+  dereg.desc.name = "a";
+  dereg.desc.endpoint = "a:7000";
+  EXPECT_EQ(meta.directory().apply(dereg),
+            protocol::RegisterResult::Status::Applied);
+  EXPECT_EQ(decision.get(), "b");
+  EXPECT_EQ(meta.serverCount(), 2u);
 }
 
 TEST(Metaserver, StopWithoutStartIsFine) {
