@@ -77,7 +77,8 @@ struct Harness {
     consumer = std::thread([this, streamed] {
       try {
         for (;;) {
-          const protocol::FrameHeader header = protocol::recvHeader(*server);
+          const protocol::FrameHeader header =
+              protocol::recvHeader(*server, protocol::WireMode::V1);
           protocol::ServerCallData data;
           if (streamed) {
             protocol::BodyReader body(*server, header.length);
@@ -92,7 +93,8 @@ struct Harness {
           }
           const std::uint8_t ack = static_cast<std::uint8_t>(
               data.arrays[1].empty() ? 0 : 1);  // defeat dead-code elim
-          server->sendAll({&ack, 1});
+          const std::span<const std::uint8_t> ack_buf[1] = {{&ack, 1}};
+          server->sendv(ack_buf);
         }
       } catch (const Error&) {
         // Client closed the pipe: benchmark over.
@@ -111,12 +113,14 @@ double oneRound(Harness& h, bool streamed,
   const double t0 = nowSeconds();
   if (streamed) {
     const xdr::Encoder body = protocol::buildCallRequest(dmmulInfo(), args);
-    protocol::sendMessage(*h.client, MessageType::CallRequest, body);
+    protocol::sendFrame(*h.client, protocol::WireMode::V1,
+                        MessageType::CallRequest, body);
   } else {
     const std::vector<std::uint8_t> payload =
         protocol::encodeCallRequest(dmmulInfo(), args);
-    protocol::sendMessage(*h.client, MessageType::CallRequest,
-                          std::span<const std::uint8_t>(payload));
+    protocol::sendFrame(*h.client, protocol::WireMode::V1,
+                        MessageType::CallRequest,
+                        std::span<const std::uint8_t>(payload));
   }
   std::uint8_t ack;
   h.client->recvAll({&ack, 1});

@@ -7,13 +7,13 @@
 
 #include "common/batch.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ninf::client {
 
 using protocol::MessageType;
+using protocol::WireMode;
 
 namespace {
 
@@ -56,7 +56,14 @@ void Channel::setMidReplyGrace(double seconds) {
 }
 
 std::uint32_t Channel::negotiatedVersion() const {
-  return negotiated_version_.load(std::memory_order_acquire);
+  LockGuard setup(setup_mutex_);
+  if (!mode_) return 0;
+  return *mode_ == WireMode::V1 ? protocol::kVersion : protocol::kVersion2;
+}
+
+bool Channel::tracePropagationNegotiated() const {
+  LockGuard setup(setup_mutex_);
+  return mode_ == WireMode::V2Traced;
 }
 
 std::string Channel::peerName() const {
@@ -86,7 +93,6 @@ void Channel::teardownLocked() {
   // out, so close without send_mutex_ is safe.
   if (stream_) stream_->close();
   if (reader_.joinable()) reader_.join();
-  trace_wire_.store(false, std::memory_order_release);
   negotiated_features_.store(0, std::memory_order_release);
   failAllPending(std::make_exception_ptr(
       TransportError("channel torn down with calls in flight")));
@@ -95,7 +101,7 @@ void Channel::teardownLocked() {
     stream_.reset();
     wire_ = nullptr;
   }
-  mode_ = Mode::Undecided;
+  mode_.reset();
 }
 
 void Channel::ensureReadyLocked(
@@ -122,111 +128,57 @@ void Channel::ensureReadyLocked(
       stream_ = std::move(fresh);
       wire_ = stream_.get();
     }
-    mode_ = Mode::Undecided;
+    mode_.reset();
   }
-  if (mode_ != Mode::Undecided) return;
+  if (mode_) return;
   if (force_v1_) {
-    mode_ = Mode::V1;
-    negotiated_version_.store(protocol::kVersion, std::memory_order_release);
+    mode_ = WireMode::V1;
     return;
   }
   negotiateLocked(deadline);
 }
 
 void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
+  // Advertise extensions only when one would be used: trace context
+  // follows the tracer, extra bits (sharding) follow requestFeatures().
+  // A client wanting neither keeps the byte-identical pre-extension
+  // Hello, so peers that predate the feature word see no change.
+  std::uint32_t want = requested_features_.load(std::memory_order_relaxed) &
+                       protocol::kKnownFeatures;
+  if (obs::Tracer::instance().enabled()) want |= protocol::kFeatureTraceContext;
+  protocol::Hello hello;
+  if (want != 0) hello.features = want;
   // No reader thread exists yet, so the stream deadline is safe here and
   // bounds the handshake by the first call's budget.
   try {
     stream_->setDeadline(deadline);
-    xdr::Encoder hello;
-    hello.putU32(protocol::kMaxVersion);
-    // Advertise extensions only when one would be used: trace context
-    // follows the tracer, extra bits (sharding) follow requestFeatures().
-    // A client wanting neither keeps the byte-identical pre-extension
-    // Hello, so peers that predate the feature word see no change.
-    const bool want_trace = obs::Tracer::instance().enabled();
-    std::uint32_t want = requested_features_.load(std::memory_order_relaxed) &
-                         protocol::kKnownFeatures;
-    if (want_trace) want |= protocol::kFeatureTraceContext;
-    if (want != 0) hello.putU32(want);
-    protocol::sendMessage(*stream_, MessageType::Hello, hello.bytes());
-    protocol::Message ack = protocol::recvMessage(*stream_);
+    xdr::Encoder enc;
+    hello.encode(enc);
+    protocol::sendFrame(*stream_, WireMode::V1, MessageType::Hello, enc);
+    const protocol::Message reply = protocol::recvMessage(*stream_);
     stream_->clearDeadline();
-    if (ack.type != MessageType::HelloAck) {
+    if (reply.type != MessageType::HelloAck) {
       throw ProtocolError("expected HelloAck, got " +
-                          std::to_string(static_cast<unsigned>(ack.type)));
+                          std::to_string(static_cast<unsigned>(reply.type)));
     }
-    xdr::Decoder dec(ack.payload);
-    const std::uint32_t agreed = dec.getU32();
-    // A feature-aware server echoes its accepted bitmask; a pre-extension
-    // server's HelloAck ends after the version word.  A peer can never
-    // grant a bit we did not ask for.
-    std::uint32_t features = 0;
-    if (want != 0 && dec.remaining() >= 4) features = dec.getU32();
-    features &= want;
+    xdr::Decoder dec(reply.payload);
+    const protocol::HelloAck ack = protocol::HelloAck::decode(dec);
+    // A peer can never grant a bit we did not ask for.
+    const std::uint32_t features = ack.features.value_or(0) & want;
     negotiated_features_.store(features, std::memory_order_release);
-    if (agreed >= protocol::kVersion2) {
-      mode_ = Mode::V2;
-      const bool traced =
-          (features & protocol::kFeatureTraceContext) != 0;
-      trace_wire_.store(traced, std::memory_order_release);
-      negotiated_version_.store(protocol::kVersion2,
-                                std::memory_order_release);
-      transport::Stream* raw = stream_.get();
-      reader_ = std::thread([this, raw, traced] { readerLoop(raw, traced); });
-    } else {
-      mode_ = Mode::V1;
-      negotiated_version_.store(protocol::kVersion, std::memory_order_release);
-    }
-  } catch (const TimeoutError&) {
-    // The peer is stalled, not old: surface the deadline, wire unknown.
-    broken_.store(true, std::memory_order_release);
-    throw;
-  } catch (const TransportError&) {
-    // The peer dropped the connection on Hello without answering.  That
-    // is exactly what a pre-negotiation server does with the unknown
-    // frame type (it aborts from recvHeader without sending any frame),
-    // so fall back to v1 over a fresh connection.  A genuinely dead
-    // network fails the fallback reconnect — or the v1 exchange that
-    // follows — with the same typed error, so real faults still surface.
-    fallbackToV1Locked("peer closed the connection on Hello");
-  } catch (const ProtocolError&) {
-    // The peer answered Hello with something that is not a HelloAck: a
-    // v1 peer echoing an error frame.
-    fallbackToV1Locked("Hello rejected by peer");
-  }
-}
-
-void Channel::fallbackToV1Locked(const char* why) {
-  if (!reconnect_) {
-    broken_.store(true, std::memory_order_release);
-    throw;  // rethrows the exception the negotiate handler caught
-  }
-  // One fallback reconnect in v1 mode, not charged to the caller's
-  // retries.
-  static obs::Counter& fallbacks = obs::counter("channel.hello_fallbacks");
-  fallbacks.add();
-  NINF_LOG(Debug) << why << "; falling back to protocol v1";
-  stream_->close();
-  std::unique_ptr<transport::Stream> fresh;
-  try {
-    fresh = reconnect_();
+    mode_ = protocol::wireModeFor(ack.version, features);
   } catch (...) {
+    // Reset, stall or a reply that is no HelloAck: the wire is in an
+    // unknown state, so the handshake fails like any other send, with
+    // its typed error, and the next exchange reconnects.
     broken_.store(true, std::memory_order_release);
     throw;
   }
-  if (!fresh) {
-    broken_.store(true, std::memory_order_release);
-    throw TransportError("reconnect factory returned no stream");
+  if (*mode_ != WireMode::V1) {
+    transport::Stream* raw = stream_.get();
+    reader_ = std::thread(
+        [this, raw, mode = *mode_] { readerLoop(raw, mode); });
   }
-  {
-    LockGuard g(send_mutex_);
-    stream_ = std::move(fresh);
-    wire_ = stream_.get();
-  }
-  mode_ = Mode::V1;
-  trace_wire_.store(false, std::memory_order_release);
-  negotiated_version_.store(protocol::kVersion, std::memory_order_release);
 }
 
 Channel::Pending Channel::start(MessageType type, const xdr::Encoder& body,
@@ -238,13 +190,14 @@ Channel::Pending Channel::start(MessageType type, const xdr::Encoder& body,
                      "reconnect is the cold path and its only metric is "
                      "a pre-resolved counter bump");
   ensureReadyLocked(deadline);
-  if (mode_ == Mode::V1) {
+  const WireMode mode = *mode_;
+  if (mode == WireMode::V1) {
     Pending done;
     done.done_ = transactV1Locked(type, body, consumer, deadline);
     return done;
   }
   setup.unlock();
-  return startV2(type, body, std::move(consumer), deadline);
+  return startV2(mode, type, body, std::move(consumer), deadline);
 }
 
 Channel::Reply Channel::transact(MessageType type, const xdr::Encoder& body,
@@ -292,11 +245,11 @@ Channel::Reply Channel::transactV1Locked(
     s.setDeadline(deadline);
     {
       obs::Span send(obs::phase::kSend, static_cast<std::int64_t>(body.size()));
-      protocol::sendMessage(s, type, body);
+      protocol::sendFrame(s, WireMode::V1, type, body);
     }
     Reply reply;
     reply.sent_us = obs::Tracer::nowMicros();
-    const protocol::FrameHeader header = protocol::recvHeader(s);
+    const protocol::FrameHeader header = protocol::recvHeader(s, WireMode::V1);
     reply.type = header.type;
     reply.length = header.length;
     protocol::BodyReader reader(s, header.length);
@@ -323,8 +276,8 @@ Channel::Reply Channel::transactV1Locked(
 }
 
 Channel::Pending Channel::startV2(
-    MessageType type, const xdr::Encoder& body, Consumer consumer,
-    std::chrono::steady_clock::time_point deadline) {
+    WireMode mode, MessageType type, const xdr::Encoder& body,
+    Consumer consumer, std::chrono::steady_clock::time_point deadline) {
   auto call = std::make_shared<PendingCall>();
   call->consumer = std::move(consumer);
   std::future<Reply> fut = call->promise.get_future();
@@ -350,30 +303,23 @@ Channel::Pending Channel::startV2(
       LockGuard p(pending_mutex_);
       call->sent_us = obs::Tracer::nowMicros();
     }
-    const bool traced = trace_wire_.load(std::memory_order_acquire);
     const protocol::WireTraceContext wctx{trace_ctx.trace_id,
                                           trace_ctx.parent_span};
-    const protocol::WireMode wire_mode =
-        traced ? protocol::WireMode::V2Traced : protocol::WireMode::V2;
-    if (protocol::headerBytes(wire_mode) + body.size() <=
+    if (protocol::headerBytes(mode) + body.size() <=
         common::kSmallFrameBytes) {
       // Small call: flatten once and group-commit with its concurrent
       // siblings — under high in-flight counts many frames share one
       // writev instead of contending for send_mutex_ one syscall each.
       // The flusher re-stamps sent_us once the frame is on the wire.
       sendV2Batched(
-          id, protocol::flattenFramePooled(wire_mode, type, id, wctx, body));
+          id, protocol::flattenFramePooled(mode, type, id, wctx, body));
     } else {
       {
         LockGuard g(send_mutex_);
         if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
           throw TransportError("channel broken");
         }
-        if (traced) {
-          protocol::sendMessageV2Traced(*wire_, type, id, wctx, body);
-        } else {
-          protocol::sendMessageV2(*wire_, type, id, body);
-        }
+        protocol::sendFrame(*wire_, mode, type, body, id, wctx);
       }
       LockGuard p(pending_mutex_);
       auto it = pending_.find(id);
@@ -589,12 +535,10 @@ void Channel::failAllPending(std::exception_ptr error) {
   }
 }
 
-void Channel::readerLoop(transport::Stream* stream, bool traced) {
+void Channel::readerLoop(transport::Stream* stream, WireMode mode) {
   try {
     for (;;) {
-      const protocol::FrameHeader header =
-          traced ? protocol::recvHeaderV2Traced(*stream)
-                 : protocol::recvHeaderV2(*stream);
+      const protocol::FrameHeader header = protocol::recvHeader(*stream, mode);
       std::shared_ptr<PendingCall> call;
       Reply reply;
       reply.type = header.type;

@@ -12,8 +12,14 @@
 //    concurrent in-flight calls as the server has workers.  Small
 //    request frames group-commit (sendV2Batched): a caller never waits
 //    for another caller's writev, only for its own reply.
-//  * v1 (the peer never acked, or force_v1): the classic lock-step
-//    exchange, one call at a time, serialized on the channel.
+//  * v1 (the peer agreed on version 1, as a metaserver node does, or
+//    force_v1): the classic lock-step exchange, one call at a time,
+//    serialized on the channel.
+//
+// The negotiated protocol::WireMode is the only thing that selects a
+// frame layout: every frame goes out through protocol::sendFrame (or a
+// group-commit of flattenFramePooled frames) and comes back through
+// protocol::recvHeader in that mode.
 //
 // Failure envelope: a timeout while a v2 call is still *waiting* for its
 // reply abandons just that call (the late reply is drained as an orphan)
@@ -22,9 +28,11 @@
 // (setMidReplyGrace), after which the peer is declared stalled mid-frame
 // and the channel is broken — the partial frame can never be realigned.
 // Any transport error on the shared wire breaks the channel and fails
-// every in-flight call with a typed error.  resetIfBroken() tears the
-// dead connection down so the next exchange reconnects through the
-// factory.
+// every in-flight call with a typed error; so does a failed handshake,
+// which surfaces its own typed error and leaves the retry budget (or the
+// caller's failover loop) to handle it like any other send failure.
+// resetIfBroken() tears the dead connection down so the next exchange
+// reconnects through the factory.
 #pragma once
 
 #include <atomic>
@@ -35,6 +43,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/buffer_pool.h"
@@ -79,8 +88,7 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   /// Factory used to replace the connection after a transport failure
-  /// (and for the one free v1-fallback reconnect when the peer rejects
-  /// Hello or aborts the connection on it).
+  /// (a failed handshake included); the next exchange dials it.
   void setReconnect(StreamFactory fn);
   bool hasReconnect() const;
 
@@ -141,15 +149,14 @@ class Channel {
                  std::chrono::steady_clock::time_point deadline =
                      transport::Stream::kNoDeadline) NINF_BLOCKING;
 
-  /// Protocol version in force: 0 before the first exchange, then 1 or 2.
+  /// Protocol version in force on the current connection: 0 before its
+  /// first exchange, then 1 or 2.
   std::uint32_t negotiatedVersion() const;
 
   /// True when the connection negotiated the trace-context extension
   /// (40-byte traced v2 frames in both directions).  Only possible when
   /// the tracer was enabled at negotiation time.
-  bool tracePropagationNegotiated() const {
-    return trace_wire_.load(std::memory_order_acquire);
-  }
+  bool tracePropagationNegotiated() const;
 
   /// Advertise extra feature bits (protocol::kFeature*) in the next
   /// Hello, beyond the trace-context bit (which follows the tracer).
@@ -183,8 +190,6 @@ class Channel {
   void close();
 
  private:
-  enum class Mode { Undecided, V1, V2 };
-
   struct PendingCall {
     Consumer consumer;
     std::promise<Reply> promise;
@@ -197,12 +202,10 @@ class Channel {
   /// Reconnect + negotiate as needed.
   void ensureReadyLocked(std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
+  /// Hello/HelloAck on the fresh stream_; sets mode_, or marks the
+  /// channel broken and rethrows.
   void negotiateLocked(std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
-  /// Switch to protocol v1 over one fresh connection.  Only callable
-  /// from inside a negotiate catch handler (rethrows the in-flight
-  /// exception when no reconnect factory exists).
-  void fallbackToV1Locked(const char* why) NINF_REQUIRES(setup_mutex_);
   /// Close + join reader + drop the stream.
   void teardownLocked() NINF_REQUIRES(setup_mutex_);
 
@@ -210,8 +213,10 @@ class Channel {
                          const Consumer& consumer,
                          std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
-  Pending startV2(protocol::MessageType type, const xdr::Encoder& body,
-                  Consumer consumer,
+  /// Send half of a v2 exchange, framed in `mode` (read by start()
+  /// under the setup lock).
+  Pending startV2(protocol::WireMode mode, protocol::MessageType type,
+                  const xdr::Encoder& body, Consumer consumer,
                   std::chrono::steady_clock::time_point deadline);
   /// Wait half of a v2 exchange: the deadline, abandon and mid-reply
   /// grace logic.
@@ -229,7 +234,7 @@ class Channel {
   bool breakStalled(std::uint64_t id);
   std::chrono::steady_clock::duration midReplyGrace() const;
 
-  void readerLoop(transport::Stream* stream, bool traced);
+  void readerLoop(transport::Stream* stream, protocol::WireMode mode);
   /// Mark broken and fail every pending call with `error`.
   void failAllPending(std::exception_ptr error);
   /// Close the stream if the channel is still broken.  A reconnect since
@@ -256,12 +261,12 @@ class Channel {
   mutable Mutex setup_mutex_{"channel.setup"};
   std::unique_ptr<transport::Stream> stream_ NINF_GUARDED_BY(setup_mutex_);
   StreamFactory reconnect_ NINF_GUARDED_BY(setup_mutex_);
-  Mode mode_ NINF_GUARDED_BY(setup_mutex_) = Mode::Undecided;
+  /// Frame layout negotiated on stream_; empty until its first
+  /// exchange negotiates.
+  std::optional<protocol::WireMode> mode_ NINF_GUARDED_BY(setup_mutex_);
   bool force_v1_ = false;  // immutable after construction
-  std::atomic<std::uint32_t> negotiated_version_{0};
   std::atomic<std::uint32_t> requested_features_{0};
   std::atomic<std::uint32_t> negotiated_features_{0};
-  std::atomic<bool> trace_wire_{false};
   std::atomic<bool> broken_{false};
   std::atomic<double> mid_reply_grace_s_{0.25};
 

@@ -231,7 +231,10 @@ void BufferPool::drainGlobal() {
 }
 
 PooledBuffer acquireBuffer(std::size_t min_capacity) {
-  return BufferPool::instance().acquire(min_capacity);
+  // A typed receiver, so call-graph tools resolve acquire() to this pool
+  // rather than to every acquire() in the tree.
+  BufferPool& pool = BufferPool::instance();
+  return pool.acquire(min_capacity);
 }
 
 }  // namespace ninf::common

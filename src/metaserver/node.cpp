@@ -12,6 +12,7 @@
 namespace ninf::metaserver {
 
 using protocol::MessageType;
+using protocol::WireMode;
 
 namespace {
 
@@ -32,7 +33,6 @@ MetaserverNode::MetaserverNode(NodeOptions opts)
   NINF_REQUIRE(ownership_.shard(opts_.shard_id) != nullptr,
                "node's shard id missing from the ring");
   dir_.setStatusFreshness(opts_.status_freshness);
-  dir_.setPollTimeout(opts_.poll_timeout);
   if (opts_.resolver) dir_.setResolver(opts_.resolver);
   epoch_.store(ownership_.shard(opts_.shard_id)->epoch,
                std::memory_order_release);
@@ -46,9 +46,8 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
   listener_ = std::move(listener);
 
   if (primary_.load(std::memory_order_acquire) && opts_.backup_factory) {
-    ReplicationOptions ropts;
-    ropts.heartbeat_interval_s = opts_.heartbeat_interval_s;
-    repl_ = std::make_unique<ReplicationLink>(opts_.backup_factory, ropts);
+    repl_ = std::make_unique<ReplicationLink>(opts_.backup_factory,
+                                              opts_.heartbeat_interval_s);
     repl_->start(
         epoch_.load(std::memory_order_acquire),
         [this] { return dir_.livenessDigest(); },
@@ -186,7 +185,7 @@ void MetaserverNode::sendWrongShard(transport::Stream& stream,
   info.reason = reason;
   xdr::Encoder enc;
   info.encode(enc);
-  protocol::sendMessage(stream, MessageType::WrongShard, enc.bytes());
+  protocol::sendFrame(stream, WireMode::V1, MessageType::WrongShard, enc);
 }
 
 void MetaserverNode::serveConnection(transport::Stream& stream) {
@@ -195,29 +194,30 @@ void MetaserverNode::serveConnection(transport::Stream& stream) {
       const protocol::Message msg = protocol::recvMessage(stream);
       switch (msg.type) {
         case MessageType::Hello: {
+          // Nodes speak v1 lock-step and serve the sharding control
+          // plane only; trace context would change the framing this
+          // loop expects.
           xdr::Decoder dec(msg.payload);
-          dec.getU32();  // client's max version; nodes always speak v1
-          const bool sent_features = dec.remaining() >= 4;
-          const std::uint32_t client_features =
-              sent_features ? dec.getU32() : 0;
-          xdr::Encoder ack;
-          ack.putU32(protocol::kVersion);
-          // The control plane implements sharding only; trace context
-          // would change the framing this v1 loop expects.
-          if (sent_features) {
-            ack.putU32(client_features & protocol::kFeatureSharding);
-          }
-          protocol::sendMessage(stream, MessageType::HelloAck, ack.bytes());
+          const protocol::HelloAck ack =
+              protocol::answerHello(protocol::Hello::decode(dec),
+                                    protocol::kVersion,
+                                    protocol::kFeatureSharding);
+          xdr::Encoder enc;
+          ack.encode(enc);
+          protocol::sendFrame(stream, WireMode::V1, MessageType::HelloAck,
+                              enc);
           break;
         }
         case MessageType::Ping:
-          protocol::sendMessage(stream, MessageType::Pong, msg.payload);
+          protocol::sendFrame(stream, WireMode::V1, MessageType::Pong,
+                              msg.payload);
           break;
         case MessageType::RingQuery: {
           const protocol::RingDescriptor view = ringView();
           xdr::Encoder enc;
           view.encode(enc);
-          protocol::sendMessage(stream, MessageType::RingInfo, enc.bytes());
+          protocol::sendFrame(stream, WireMode::V1, MessageType::RingInfo,
+                              enc);
           break;
         }
         case MessageType::ScheduleQuery:
@@ -284,7 +284,7 @@ void MetaserverNode::handleScheduleQuery(
   }
   xdr::Encoder enc;
   choice.encode(enc);
-  protocol::sendMessage(stream, MessageType::ScheduleReply, enc.bytes());
+  protocol::sendFrame(stream, WireMode::V1, MessageType::ScheduleReply, enc);
 }
 
 void MetaserverNode::handleRegistryOp(transport::Stream& stream,
@@ -311,7 +311,7 @@ void MetaserverNode::handleRegistryOp(transport::Stream& stream,
       result.status = protocol::RegisterResult::Status::Fenced;
       xdr::Encoder enc;
       result.encode(enc);
-      protocol::sendMessage(stream, MessageType::RegisterAck, enc.bytes());
+      protocol::sendFrame(stream, WireMode::V1, MessageType::RegisterAck, enc);
     } else {
       // A live backup: the shard is fine, the client just picked the
       // wrong role.
@@ -335,7 +335,7 @@ void MetaserverNode::handleRegistryOp(transport::Stream& stream,
   }
   xdr::Encoder enc;
   result.encode(enc);
-  protocol::sendMessage(stream, MessageType::RegisterAck, enc.bytes());
+  protocol::sendFrame(stream, WireMode::V1, MessageType::RegisterAck, enc);
 }
 
 void MetaserverNode::handleReplAppend(transport::Stream& stream,
@@ -368,7 +368,7 @@ void MetaserverNode::handleReplAppend(transport::Stream& stream,
   }
   xdr::Encoder enc;
   ack.encode(enc);
-  protocol::sendMessage(stream, MessageType::ReplAck, enc.bytes());
+  protocol::sendFrame(stream, WireMode::V1, MessageType::ReplAck, enc);
 }
 
 void MetaserverNode::handleReplHeartbeat(
@@ -393,7 +393,7 @@ void MetaserverNode::handleReplHeartbeat(
   }
   xdr::Encoder enc;
   ack.encode(enc);
-  protocol::sendMessage(stream, MessageType::ReplAck, enc.bytes());
+  protocol::sendFrame(stream, WireMode::V1, MessageType::ReplAck, enc);
 }
 
 }  // namespace ninf::metaserver

@@ -52,10 +52,10 @@ struct NodeOptions {
   /// argument values, which ScheduleQuery does not carry — only the
   /// oblivious and load-based policies are servable over the wire.
   SchedulingPolicy policy = SchedulingPolicy::LeastLoad;
-  /// Directory tuning (see LocalDirectory).  freshness 0 polls every
-  /// decision — the NetSolve-style model the paper measures.
+  /// Directory tuning (see LocalDirectory; status polls keep its default
+  /// timeout).  freshness 0 polls every decision — the NetSolve-style
+  /// model the paper measures.
   double status_freshness = 0.0;
-  double poll_timeout = 1.0;
   double cooldown_seconds = 2.0;
   /// Replication cadence and the backup's patience: a backup promotes
   /// after heartbeat_miss_budget * heartbeat_interval_s of silence.

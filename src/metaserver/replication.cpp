@@ -11,6 +11,9 @@ namespace ninf::metaserver {
 
 namespace {
 
+/// Bound on each append/heartbeat round-trip.
+constexpr double kIoTimeoutSeconds = 0.5;
+
 obs::Gauge& lagGauge() {
   static obs::Gauge& g = obs::gauge("metaserver.replication.lag");
   return g;
@@ -19,10 +22,11 @@ obs::Gauge& lagGauge() {
 }  // namespace
 
 ReplicationLink::ReplicationLink(client::ConnectionFactory backup_factory,
-                                 ReplicationOptions opts)
-    : factory_(std::move(backup_factory)), opts_(opts) {
+                                 double heartbeat_interval_s)
+    : factory_(std::move(backup_factory)),
+      heartbeat_interval_s_(heartbeat_interval_s) {
   NINF_REQUIRE(factory_ != nullptr, "replication link needs a backup factory");
-  NINF_REQUIRE(opts_.heartbeat_interval_s > 0, "heartbeat interval");
+  NINF_REQUIRE(heartbeat_interval_s_ > 0, "heartbeat interval");
 }
 
 ReplicationLink::~ReplicationLink() { stop(); }
@@ -122,7 +126,7 @@ bool ReplicationLink::handleAck(const protocol::ReplAckMsg& ack) {
 void ReplicationLink::shipperLoop() {
   std::unique_ptr<client::NinfClient> backup;
   const auto interval =
-      std::chrono::duration<double>(opts_.heartbeat_interval_s);
+      std::chrono::duration<double>(heartbeat_interval_s_);
   auto next_heartbeat = std::chrono::steady_clock::now();
   for (;;) {
     protocol::RegistryOp op;
@@ -155,7 +159,7 @@ void ReplicationLink::shipperLoop() {
         protocol::ReplAppendMsg msg;
         msg.shard_epoch = shard_epoch_;
         msg.op = op;
-        const auto ack = backup->replAppend(msg, opts_.io_timeout_s);
+        const auto ack = backup->replAppend(msg, kIoTimeoutSeconds);
         if (!handleAck(ack)) continue;
         LockGuard lock(mutex_);
         if (!queue_.empty() && queue_.front().seq == op.seq) {
@@ -166,7 +170,7 @@ void ReplicationLink::shipperLoop() {
         hb.shard_epoch = shard_epoch_;
         hb.last_seq = lastAppended();
         if (liveness_) hb.liveness = liveness_();
-        const auto ack = backup->replHeartbeat(hb, opts_.io_timeout_s);
+        const auto ack = backup->replHeartbeat(hb, kIoTimeoutSeconds);
         if (!handleAck(ack)) continue;
         next_heartbeat = std::chrono::steady_clock::now() +
                          std::chrono::duration_cast<

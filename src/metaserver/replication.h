@@ -34,14 +34,6 @@
 
 namespace ninf::metaserver {
 
-struct ReplicationOptions {
-  /// Heartbeat cadence; the backup's promotion budget is a multiple of
-  /// this (NodeOptions::heartbeat_miss_budget).
-  double heartbeat_interval_s = 0.05;
-  /// Bound on each append/heartbeat round-trip.
-  double io_timeout_s = 0.5;
-};
-
 class ReplicationLink {
  public:
   using LivenessSource =
@@ -50,8 +42,11 @@ class ReplicationLink {
   /// with a higher epoch: this primary is deposed.
   using FenceCallback = std::function<void(std::uint64_t observed_epoch)>;
 
+  /// `heartbeat_interval_s` is the heartbeat cadence; the backup's
+  /// promotion budget is a multiple of it
+  /// (NodeOptions::heartbeat_miss_budget).
   ReplicationLink(client::ConnectionFactory backup_factory,
-                  ReplicationOptions opts = {});
+                  double heartbeat_interval_s);
   ~ReplicationLink();
 
   ReplicationLink(const ReplicationLink&) = delete;
@@ -82,7 +77,7 @@ class ReplicationLink {
   bool handleAck(const protocol::ReplAckMsg& ack);
 
   client::ConnectionFactory factory_;
-  ReplicationOptions opts_;
+  double heartbeat_interval_s_;
 
   mutable Mutex mutex_{"repl.link"};
   CondVar cv_;

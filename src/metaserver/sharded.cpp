@@ -18,6 +18,17 @@ using Clock = std::chrono::steady_clock;
 
 constexpr Clock::time_point kUnbounded = Clock::time_point::max();
 
+/// Extra computing servers tried after a dispatch fails (the in-process
+/// metaserver's failover loop, shard-routed).
+constexpr std::size_t kMaxFailovers = 2;
+/// Routing rounds attempted when the caller set no deadline (a round =
+/// every endpoint of the owning shard plus a ring refresh).  With a
+/// deadline the deadline governs instead.
+constexpr std::size_t kMaxRouteRounds = 8;
+/// Per-RPC bound on control-plane round-trips (ring query, schedule
+/// query, registration) when the caller's deadline is further away.
+constexpr double kControlTimeoutSeconds = 2.0;
+
 /// Sleep for `seconds`, but never past `deadline`.
 void boundedSleep(double seconds, Clock::time_point deadline) {
   auto until = Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -34,7 +45,6 @@ ShardedMetaserver::ShardedMetaserver(ShardedOptions opts)
   NINF_REQUIRE(opts_.node_dialer != nullptr, "sharded metaserver needs a node dialer");
   NINF_REQUIRE(opts_.server_dialer != nullptr,
                "sharded metaserver needs a server dialer");
-  NINF_REQUIRE(opts_.control_timeout > 0, "control timeout");
 }
 
 std::unique_ptr<client::NinfClient> ShardedMetaserver::dialNode(
@@ -48,10 +58,10 @@ std::unique_ptr<client::NinfClient> ShardedMetaserver::dialNode(
 }
 
 double ShardedMetaserver::controlBudget(Clock::time_point deadline) const {
-  if (deadline == kUnbounded) return opts_.control_timeout;
+  if (deadline == kUnbounded) return kControlTimeoutSeconds;
   const double remaining =
       std::chrono::duration<double>(deadline - Clock::now()).count();
-  return std::clamp(remaining, 0.01, opts_.control_timeout);
+  return std::clamp(remaining, 0.01, kControlTimeoutSeconds);
 }
 
 void ShardedMetaserver::refreshRing() {
@@ -62,7 +72,7 @@ void ShardedMetaserver::refreshRing() {
     protocol::RingDescriptor view;
     try {
       auto node = dialNode(seed);
-      view = node->ringInfo(ringEpoch(), opts_.control_timeout);
+      view = node->ringInfo(ringEpoch(), kControlTimeoutSeconds);
     } catch (const Error& e) {
       NINF_LOG(Debug) << "ring refresh: seed " << seed
                       << " unreachable: " << e.what();
@@ -169,7 +179,7 @@ auto ShardedMetaserver::shardLoop(const std::string& routing_entry,
       NINF_LOG(Debug) << what << ": " << e.what();
     }
     ++rounds;
-    if (!bounded && rounds >= opts_.max_route_rounds) {
+    if (!bounded && rounds >= kMaxRouteRounds) {
       throw TransportError(what + ": shard unreachable after " +
                            std::to_string(rounds) + " routing rounds");
     }
@@ -214,7 +224,7 @@ client::CallResult ShardedMetaserver::dispatch(
   // The failed servers ride the next ScheduleQuery, so the owning shard
   // starts their cooldown; no failure callback is needed here.
   return callWithFailover(
-      name, args, opts, opts_.max_failovers, data_pool_,
+      name, args, opts, kMaxFailovers, data_pool_,
       [&](const std::vector<std::string>& excluded,
           Clock::time_point deadline) {
         protocol::ScheduleChoice choice = route(name, excluded, deadline);

@@ -53,19 +53,9 @@ struct ShardedOptions {
   EndpointDialer node_dialer;
   /// Dials computing servers (data plane).
   EndpointDialer server_dialer;
-  /// Extra computing servers tried after a dispatch fails (the
-  /// in-process metaserver's failover loop, shard-routed).
-  std::size_t max_failovers = 2;
   /// First sleep after an unsuccessful routing round; doubles per round,
   /// capped at 1 s.
   double retry_backoff = 0.02;
-  /// Routing rounds attempted when the caller set no deadline (a round
-  /// = every endpoint of the owning shard plus a ring refresh).  With a
-  /// deadline the deadline governs instead.
-  std::size_t max_route_rounds = 8;
-  /// Per-RPC bound on control-plane round-trips (ring query, schedule
-  /// query, registration) when the caller's deadline is further away.
-  double control_timeout = 2.0;
 };
 
 class ShardedMetaserver : public client::CallDispatcher {
@@ -85,7 +75,7 @@ class ShardedMetaserver : public client::CallDispatcher {
 
   /// Resolve `entry` to a computing server via the owning shard,
   /// retrying through redirects/refreshes/backup promotion until
-  /// `deadline` (or the round bound, see ShardedOptions).  Throws
+  /// `deadline` (or, with none, a fixed bound of routing rounds).  Throws
   /// NotFoundError when the owning shard has no eligible candidate,
   /// TimeoutError past the deadline, TransportError when the shard
   /// stays unreachable.

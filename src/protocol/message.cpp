@@ -20,37 +20,28 @@ void putWordBe(std::uint32_t word, std::uint8_t* out) {
   out[3] = static_cast<std::uint8_t>(word);
 }
 
-/// Encode the 16-byte v1 frame header into `out`.
-void encodeHeader(MessageType type, std::size_t length,
-                  std::uint8_t out[kHeaderBytes]) {
+/// Encode `mode`'s header layout into `out`; returns its length.  The
+/// v1 words (magic, version, type, length) lead every layout; v2 appends
+/// the call ID and traced v2 the trace context, each 64-bit value high
+/// word first.
+std::size_t encodeHeader(WireMode mode, MessageType type, std::size_t length,
+                         std::uint64_t call_id, const WireTraceContext& ctx,
+                         std::uint8_t out[kHeaderBytesV2Traced]) {
   putWordBe(kMagic, out);
-  putWordBe(kVersion, out + 4);
+  putWordBe(mode == WireMode::V1 ? kVersion : kVersion2, out + 4);
   putWordBe(static_cast<std::uint32_t>(type), out + 8);
   putWordBe(static_cast<std::uint32_t>(length), out + 12);
-}
-
-/// Encode the 24-byte v2 frame header (v1 header fields + 64-bit call ID,
-/// high word first) into `out`.
-void encodeHeaderV2(MessageType type, std::size_t length,
-                    std::uint64_t call_id, std::uint8_t out[kHeaderBytesV2]) {
-  putWordBe(kMagic, out);
-  putWordBe(kVersion2, out + 4);
-  putWordBe(static_cast<std::uint32_t>(type), out + 8);
-  putWordBe(static_cast<std::uint32_t>(length), out + 12);
-  putWordBe(static_cast<std::uint32_t>(call_id >> 32), out + 16);
-  putWordBe(static_cast<std::uint32_t>(call_id), out + 20);
-}
-
-/// Encode the 40-byte traced v2 frame header (v2 header fields + trace
-/// ID + parent span ID, each 64-bit high word first) into `out`.
-void encodeHeaderV2Traced(MessageType type, std::size_t length,
-                          std::uint64_t call_id, const WireTraceContext& ctx,
-                          std::uint8_t out[kHeaderBytesV2Traced]) {
-  encodeHeaderV2(type, length, call_id, out);
-  putWordBe(static_cast<std::uint32_t>(ctx.trace_id >> 32), out + 24);
-  putWordBe(static_cast<std::uint32_t>(ctx.trace_id), out + 28);
-  putWordBe(static_cast<std::uint32_t>(ctx.parent_span >> 32), out + 32);
-  putWordBe(static_cast<std::uint32_t>(ctx.parent_span), out + 36);
+  if (mode != WireMode::V1) {
+    putWordBe(static_cast<std::uint32_t>(call_id >> 32), out + 16);
+    putWordBe(static_cast<std::uint32_t>(call_id), out + 20);
+  }
+  if (mode == WireMode::V2Traced) {
+    putWordBe(static_cast<std::uint32_t>(ctx.trace_id >> 32), out + 24);
+    putWordBe(static_cast<std::uint32_t>(ctx.trace_id), out + 28);
+    putWordBe(static_cast<std::uint32_t>(ctx.parent_span >> 32), out + 32);
+    putWordBe(static_cast<std::uint32_t>(ctx.parent_span), out + 36);
+  }
+  return headerBytes(mode);
 }
 
 /// Sink gathering spans for one vectored send.  Spans stay valid until
@@ -110,77 +101,31 @@ void noteWireBuffer(std::size_t bytes) {
   if (v > peak.value()) peak.set(v);
 }
 
-void sendMessage(transport::Stream& stream, MessageType type,
-                 std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(payload.size());
-  std::uint8_t header[16];
-  encodeHeader(type, payload.size(), header);
-  const std::span<const std::uint8_t> bufs[2] = {{header, 16}, payload};
-  stream.sendv(bufs);
-}
-
-void sendMessage(transport::Stream& stream, MessageType type,
-                 const xdr::Encoder& body) {
+void sendFrame(transport::Stream& stream, WireMode mode, MessageType type,
+               const xdr::Encoder& body, std::uint64_t call_id,
+               const WireTraceContext& ctx) {
   NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
   // Peak contiguous memory on this path: the encoder's owned (scalar)
   // section plus one byteswap scratch chunk — independent of array size.
   noteWireBuffer(body.ownedSize() +
                  (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[16];
-  encodeHeader(type, body.size(), header);
+  std::uint8_t header[kHeaderBytesV2Traced];
   StreamSink sink(stream);
-  sink.write({header, 16});
+  sink.write(
+      {header, encodeHeader(mode, type, body.size(), call_id, ctx, header)});
   body.emitTo(sink);  // flushes after each scratch chunk and at the end
 }
 
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id,
-                   std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(payload.size());
-  std::uint8_t header[kHeaderBytesV2];
-  encodeHeaderV2(type, payload.size(), call_id, header);
-  const std::span<const std::uint8_t> bufs[2] = {{header, kHeaderBytesV2},
-                                                 payload};
-  stream.sendv(bufs);
-}
-
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id, const xdr::Encoder& body) {
+void sendFrame(transport::Stream& stream, WireMode mode, MessageType type,
+               std::span<const std::uint8_t> body, std::uint64_t call_id,
+               const WireTraceContext& ctx) {
   NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(body.ownedSize() +
-                 (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[kHeaderBytesV2];
-  encodeHeaderV2(type, body.size(), call_id, header);
-  StreamSink sink(stream);
-  sink.write({header, kHeaderBytesV2});
-  body.emitTo(sink);
-}
-
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(payload.size());
+  noteWireBuffer(body.size());
   std::uint8_t header[kHeaderBytesV2Traced];
-  encodeHeaderV2Traced(type, payload.size(), call_id, ctx, header);
   const std::span<const std::uint8_t> bufs[2] = {
-      {header, kHeaderBytesV2Traced}, payload};
+      {header, encodeHeader(mode, type, body.size(), call_id, ctx, header)},
+      body};
   stream.sendv(bufs);
-}
-
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(body.ownedSize() +
-                 (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[kHeaderBytesV2Traced];
-  encodeHeaderV2Traced(type, body.size(), call_id, ctx, header);
-  StreamSink sink(stream);
-  sink.write({header, kHeaderBytesV2Traced});
-  body.emitTo(sink);
 }
 
 namespace {
@@ -228,22 +173,11 @@ FrameHeader parseHeader(std::span<const std::uint8_t> bytes, WireMode mode,
 
 }  // namespace
 
-FrameHeader recvHeader(transport::Stream& stream) {
-  std::uint8_t header_bytes[kHeaderBytes];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V1, stream.peerName());
-}
-
-FrameHeader recvHeaderV2(transport::Stream& stream) {
-  std::uint8_t header_bytes[kHeaderBytesV2];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V2, stream.peerName());
-}
-
-FrameHeader recvHeaderV2Traced(transport::Stream& stream) {
+FrameHeader recvHeader(transport::Stream& stream, WireMode mode) {
   std::uint8_t header_bytes[kHeaderBytesV2Traced];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V2Traced, stream.peerName());
+  const std::span<std::uint8_t> header{header_bytes, headerBytes(mode)};
+  stream.recvAll(header);
+  return parseHeader(header, mode, stream.peerName());
 }
 
 namespace {
@@ -359,29 +293,6 @@ std::optional<Frame> FrameAssembler::next() {
   return Frame{header_, std::move(body_)};
 }
 
-namespace {
-
-/// Encode the mode's header layout into `out`; returns its length.
-std::size_t encodeModeHeader(WireMode mode, MessageType type,
-                             std::size_t length, std::uint64_t call_id,
-                             const WireTraceContext& ctx,
-                             std::uint8_t out[kHeaderBytesV2Traced]) {
-  switch (mode) {
-    case WireMode::V1:
-      encodeHeader(type, length, out);
-      break;
-    case WireMode::V2:
-      encodeHeaderV2(type, length, call_id, out);
-      break;
-    case WireMode::V2Traced:
-      encodeHeaderV2Traced(type, length, call_id, ctx, out);
-      break;
-  }
-  return headerBytes(mode);
-}
-
-}  // namespace
-
 common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         std::uint64_t call_id,
                                         const WireTraceContext& ctx,
@@ -389,7 +300,7 @@ common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
   NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
   std::uint8_t header[kHeaderBytesV2Traced];
   const std::size_t header_len =
-      encodeModeHeader(mode, type, body.size(), call_id, ctx, header);
+      encodeHeader(mode, type, body.size(), call_id, ctx, header);
   common::PooledBuffer out = common::acquireBuffer(header_len + body.size());
   out.append({header, header_len});
   BufferSink sink(out);
@@ -404,7 +315,7 @@ common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
   NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
   std::uint8_t header[kHeaderBytesV2Traced];
   const std::size_t header_len =
-      encodeModeHeader(mode, type, payload.size(), call_id, ctx, header);
+      encodeHeader(mode, type, payload.size(), call_id, ctx, header);
   common::PooledBuffer out = common::acquireBuffer(header_len + payload.size());
   out.append({header, header_len});
   out.append(payload);
@@ -458,13 +369,51 @@ void BodyReader::drain() {
 }
 
 Message recvMessage(transport::Stream& stream) {
-  const FrameHeader header = recvHeader(stream);
+  const FrameHeader header = recvHeader(stream, WireMode::V1);
   noteWireBuffer(header.length);
   Message msg;
   msg.type = header.type;
   msg.payload.resize(header.length);
   if (header.length > 0) stream.recvAll(msg.payload);
   return msg;
+}
+
+void Hello::encode(xdr::Encoder& enc) const {
+  enc.putU32(max_version);
+  if (features) enc.putU32(*features);
+}
+
+Hello Hello::decode(xdr::Source& src) {
+  Hello hello;
+  hello.max_version = src.getU32();
+  if (src.remaining() >= 4) hello.features = src.getU32();
+  return hello;
+}
+
+void HelloAck::encode(xdr::Encoder& enc) const {
+  enc.putU32(version);
+  if (features) enc.putU32(*features);
+}
+
+HelloAck HelloAck::decode(xdr::Source& src) {
+  HelloAck ack;
+  ack.version = src.getU32();
+  if (src.remaining() >= 4) ack.features = src.getU32();
+  return ack;
+}
+
+HelloAck answerHello(const Hello& hello, std::uint32_t max_version,
+                     std::uint32_t served_features) {
+  HelloAck ack;
+  ack.version = std::min(hello.max_version, max_version);
+  if (hello.features) ack.features = *hello.features & served_features;
+  return ack;
+}
+
+WireMode wireModeFor(std::uint32_t version, std::uint32_t features) {
+  if (version < kVersion2) return WireMode::V1;
+  return (features & kFeatureTraceContext) != 0 ? WireMode::V2Traced
+                                                : WireMode::V2;
 }
 
 std::vector<std::uint8_t> ServerStatusInfo::toBytes() const {

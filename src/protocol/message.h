@@ -134,8 +134,21 @@ struct WireTraceContext {
   std::uint64_t parent_span = 0;
 };
 
-/// Validated frame header: the first 16 (v1), 24 (v2), or 40 (traced v2)
-/// bytes of every message.
+/// Frame layout in force on a connection: v1 lock-step (16-byte
+/// headers), negotiated v2 (24 bytes, call ID), or traced v2 (40 bytes,
+/// call ID + trace context).  The only thing that selects a layout: every
+/// sender and reader below takes one.
+enum class WireMode { V1, V2, V2Traced };
+
+/// Header bytes of one frame in the given mode.
+constexpr std::size_t headerBytes(WireMode mode) {
+  return mode == WireMode::V1      ? kHeaderBytes
+         : mode == WireMode::V2    ? kHeaderBytesV2
+                                   : kHeaderBytesV2Traced;
+}
+
+/// Validated frame header: the first headerBytes(mode) bytes of every
+/// message.
 struct FrameHeader {
   MessageType type;
   std::uint32_t length = 0;   // body bytes following the header
@@ -143,44 +156,25 @@ struct FrameHeader {
   WireTraceContext trace;     // traced-v2 context; zeros otherwise
 };
 
-/// Serialize and send one message from a contiguous payload.
-void sendMessage(transport::Stream& stream, MessageType type,
-                 std::span<const std::uint8_t> payload);
+/// Send one frame in `mode`'s layout through Stream::sendv: the header,
+/// the encoder's owned bytes, and byteswapped chunks of its borrowed
+/// double arrays — the message is never materialized contiguously.
+/// `call_id` and `ctx` are ignored by modes whose header does not carry
+/// them.
+void sendFrame(transport::Stream& stream, WireMode mode, MessageType type,
+               const xdr::Encoder& body, std::uint64_t call_id = 0,
+               const WireTraceContext& ctx = {});
 
-/// Streamed scatter-gather send: the frame header, the encoder's owned
-/// bytes, and byteswapped chunks of its borrowed double arrays go to the
-/// stream via sendv — the message is never materialized contiguously.
-void sendMessage(transport::Stream& stream, MessageType type,
-                 const xdr::Encoder& body);
+/// Same for an already-flat body: header and body leave in one sendv.
+void sendFrame(transport::Stream& stream, WireMode mode, MessageType type,
+               std::span<const std::uint8_t> body, std::uint64_t call_id = 0,
+               const WireTraceContext& ctx = {});
 
-/// v2 frames: as above plus the call ID in the 24-byte header.
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id,
-                   std::span<const std::uint8_t> payload);
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id, const xdr::Encoder& body);
-
-/// Traced v2 frames (connection negotiated kFeatureTraceContext): the
-/// 40-byte header additionally carries the trace context.
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         std::span<const std::uint8_t> payload);
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         const xdr::Encoder& body);
-
-/// Read and validate one frame header; throws ProtocolError on bad
-/// magic/version/type/length and TransportError on connection loss.  The
-/// caller must then consume exactly header.length body bytes (BodyReader)
-/// before the next frame.
-FrameHeader recvHeader(transport::Stream& stream);
-
-/// Same for a negotiated-v2 connection (24-byte header with call ID).
-FrameHeader recvHeaderV2(transport::Stream& stream);
-
-/// Same for a connection that negotiated kFeatureTraceContext (40-byte
-/// header with call ID + trace context).
-FrameHeader recvHeaderV2Traced(transport::Stream& stream);
+/// Read and validate one frame header in `mode`'s layout; throws
+/// ProtocolError on bad magic/version/type/length and TransportError on
+/// connection loss.  The caller must then consume exactly header.length
+/// body bytes (BodyReader) before the next frame.
+FrameHeader recvHeader(transport::Stream& stream, WireMode mode);
 
 /// Incremental reader over one frame body.  Implements xdr::Source, so
 /// decode logic pulls scalars through a small internal buffer while large
@@ -214,21 +208,10 @@ class BodyReader : public xdr::Source {
   std::size_t buf_len_ = 0;  // valid bytes in buf_
 };
 
-/// Receive one whole message (header + materialized body).  Retained for
-/// small control messages; the call data path uses recvHeader/BodyReader.
+/// Receive one whole v1 frame (header + materialized body): the
+/// handshake and the metaserver node's lock-step loop.  The call data
+/// path uses recvHeader/BodyReader.
 Message recvMessage(transport::Stream& stream);
-
-/// Frame layout in force on a connection: v1 lock-step (16-byte
-/// headers), negotiated v2 (24 bytes, call ID), or traced v2 (40 bytes,
-/// call ID + trace context).
-enum class WireMode { V1, V2, V2Traced };
-
-/// Header bytes of one frame in the given mode.
-constexpr std::size_t headerBytes(WireMode mode) {
-  return mode == WireMode::V1      ? kHeaderBytes
-         : mode == WireMode::V2    ? kHeaderBytesV2
-                                   : kHeaderBytesV2Traced;
-}
 
 /// One complete frame popped off a FrameAssembler: the validated header
 /// plus the materialized body.  The body lives in a pool slab so the
@@ -243,7 +226,7 @@ struct Frame {
 /// Incremental frame reassembly for event-driven servers: raw bytes read
 /// off a non-blocking socket are fed in as they arrive, complete frames
 /// pop out.  A frame is parsed in two steps — header first (validated
-/// exactly as recvHeader* would), then the body — so a slow peer
+/// exactly as recvHeader would), then the body — so a slow peer
 /// dribbling one byte at a time costs buffer space, never a blocked
 /// thread.  setMode() takes effect at the next frame boundary (Hello
 /// negotiation upgrades a connection mid-stream).
@@ -376,6 +359,37 @@ common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
 /// message, and the server's reactor reports each reassembled request
 /// frame (one slab holding the whole body).
 void noteWireBuffer(std::size_t bytes);
+
+/// Hello payload: the highest version the client speaks, then — only
+/// when the client wants an extension — its feature bitmask word.  A
+/// Hello without the word is byte-identical to a pre-extension one.
+struct Hello {
+  std::uint32_t max_version = kMaxVersion;
+  std::optional<std::uint32_t> features;
+
+  void encode(xdr::Encoder& enc) const;
+  static Hello decode(xdr::Source& src);
+};
+
+/// HelloAck payload: the agreed version, then — only when the Hello
+/// carried a feature word — the subset of its bits the service accepts.
+struct HelloAck {
+  std::uint32_t version = kVersion;
+  std::optional<std::uint32_t> features;
+
+  void encode(xdr::Encoder& enc) const;
+  static HelloAck decode(xdr::Source& src);
+};
+
+/// A service's answer to `hello`: the lower of the two highest versions,
+/// and the requested bits among `served_features` (echoed only to a
+/// Hello that carried a feature word).
+HelloAck answerHello(const Hello& hello, std::uint32_t max_version,
+                     std::uint32_t served_features);
+
+/// Frame layout both sides switch to after a handshake that agreed on
+/// `version` with `features` accepted by both.
+WireMode wireModeFor(std::uint32_t version, std::uint32_t features);
 
 /// Server-side status snapshot carried by StatusReply (metaserver food).
 struct ServerStatusInfo {

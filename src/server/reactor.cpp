@@ -342,12 +342,9 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
       default: {
         // Small control messages: compute the reply inline on the
         // reactor thread (registry/pending lookups, no compute).
-        protocol::Message msg;
-        msg.type = frame.header.type;
-        msg.payload.assign(frame.body.data(),
-                           frame.body.data() + frame.body.size());
-        protocol::noteWireBuffer(msg.payload.size());
-        NinfServer::ReplyEnvelope env = server_.controlReply(msg);
+        protocol::noteWireBuffer(frame.body.size());
+        NinfServer::ReplyEnvelope env =
+            server_.controlReply(frame.header.type, frame.body.span());
         queueReply(conn.id,
                    protocol::flattenFramePooled(conn.mode, env.type,
                                                 frame.header.call_id,
@@ -366,30 +363,26 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
 void Reactor::handleHello(Conn& conn, const Frame& frame) {
   static obs::Counter& upgrades = obs::counter("server.v2_connections");
   xdr::Decoder dec(frame.body.span());
-  const std::uint32_t client_max = dec.getU32();
-  const bool client_sent_features = dec.remaining() >= 4;
-  const std::uint32_t client_features =
-      client_sent_features ? dec.getU32() : 0;
-  const std::uint32_t agreed = std::min(client_max, protocol::kMaxVersion);
   // The compute server implements the trace extension only; the sharding
   // control plane lives on metaserver nodes.
-  const std::uint32_t features =
-      client_features & protocol::kFeatureTraceContext;
-  xdr::Encoder ack;
-  ack.putU32(agreed);
-  if (client_sent_features) ack.putU32(features);
+  const protocol::HelloAck ack =
+      protocol::answerHello(protocol::Hello::decode(dec),
+                            protocol::kMaxVersion,
+                            protocol::kFeatureTraceContext);
+  xdr::Encoder enc;
+  ack.encode(enc);
   // The ack itself travels in the pre-upgrade framing; the new mode
   // applies from the next frame in both directions.
   queueReply(conn.id,
              protocol::flattenFramePooled(conn.mode, MessageType::HelloAck,
                                           frame.header.call_id,
-                                          frame.header.trace, ack));
-  if (agreed >= protocol::kVersion2) {
+                                          frame.header.trace, enc));
+  const WireMode mode =
+      protocol::wireModeFor(ack.version, ack.features.value_or(0));
+  if (mode != WireMode::V1) {
     upgrades.add();
-    conn.mode = (features & protocol::kFeatureTraceContext)
-                    ? WireMode::V2Traced
-                    : WireMode::V2;
-    conn.assembler.setMode(conn.mode);
+    conn.mode = mode;
+    conn.assembler.setMode(mode);
   }
 }
 

@@ -14,7 +14,6 @@
 namespace ninf::server {
 
 using protocol::CallTimings;
-using protocol::Message;
 using protocol::MessageType;
 
 NinfServer::NinfServer(Registry& registry, ServerOptions options)
@@ -23,16 +22,14 @@ NinfServer::NinfServer(Registry& registry, ServerOptions options)
       queue_(options.policy, options.name) {
   NINF_REQUIRE(options_.workers >= 1, "server needs at least one worker");
   if (options_.cache_max_bytes > 0) {
-    cache_ = std::make_unique<ResultCache>(ResultCache::Options{
-        options_.cache_max_bytes, options_.cache_ttl_seconds});
+    cache_ = std::make_unique<ResultCache>(
+        ResultCache::Options{options_.cache_max_bytes, kCacheTtlSeconds});
   }
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
   }
-  if (options_.pending_ttl_seconds > 0) {
-    sweeper_ = std::thread([this] { sweeperLoop(); });
-  }
+  sweeper_ = std::thread([this] { sweeperLoop(); });
 }
 
 NinfServer::~NinfServer() { stop(); }
@@ -76,8 +73,8 @@ void NinfServer::workerLoop() {
 }
 
 void NinfServer::sweeperLoop() {
-  const auto period = std::chrono::duration<double>(
-      std::clamp(options_.pending_ttl_seconds / 4.0, 0.01, 1.0));
+  // Expired results linger at most a second past the TTL.
+  constexpr auto period = std::chrono::seconds(1);
   UniqueLock lk(sweeper_mutex_);
   while (!stopping_.load()) {
     sweeper_cv_.wait_for(lk, period, [this] { return stopping_.load(); });
@@ -98,7 +95,7 @@ void NinfServer::sweepPending() {
     LockGuard lock(pending_mutex_);
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->second.ready &&
-          now - it->second.ready_time > options_.pending_ttl_seconds) {
+          now - it->second.ready_time > kPendingTtlSeconds) {
         expired.push_back(std::move(it->second.reply));
         it = pending_.erase(it);
       } else {
@@ -123,10 +120,11 @@ void NinfServer::updatePendingGauge(std::size_t count) {
       .set(static_cast<double>(count));
 }
 
-NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
-  switch (msg.type) {
+NinfServer::ReplyEnvelope NinfServer::controlReply(
+    MessageType type, std::span<const std::uint8_t> body) {
+  switch (type) {
     case MessageType::QueryInterface: {
-      xdr::Decoder dec(msg.payload);
+      xdr::Decoder dec(body);
       const std::string name = dec.getString();
       xdr::Encoder enc;
       if (registry_.contains(name)) {
@@ -138,7 +136,7 @@ NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
       return {MessageType::InterfaceReply, {std::move(enc), nullptr}};
     }
     case MessageType::FetchResult: {
-      xdr::Decoder dec(msg.payload);
+      xdr::Decoder dec(body);
       const std::uint64_t id = dec.getU64();
       UniqueLock lock(pending_mutex_);
       auto it = pending_.find(id);
@@ -182,12 +180,12 @@ NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
     }
     case MessageType::Ping: {
       xdr::Encoder enc;
-      enc.putRaw(msg.payload);
+      enc.putRaw(body);
       return {MessageType::Pong, {std::move(enc), nullptr}};
     }
     default:
       throw ProtocolError("unexpected message type " +
-                          std::to_string(static_cast<unsigned>(msg.type)));
+                          std::to_string(static_cast<unsigned>(type)));
   }
 }
 

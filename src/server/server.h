@@ -27,13 +27,14 @@
 // The two-phase protocol of section 5.1 is supported: SubmitRequest
 // detaches the job from the connection, SubmitAck returns a job id, and
 // the client fetches the result later (possibly over a new connection).
-// Results nobody fetches are reaped after pending_ttl_seconds.
+// Results nobody fetches are reaped after kPendingTtlSeconds.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -58,10 +59,6 @@ struct ServerOptions {
   /// Label of this server's queue-depth gauge
   /// (`server.queue.depth.<name>`); auto-generated when empty.
   std::string name = {};
-  /// Two-phase results that were never fetched are discarded this many
-  /// seconds after completing (<= 0 keeps them forever — the historical
-  /// leak, retained only for experiments).
-  double pending_ttl_seconds = 300.0;
   /// Reactor admission budget: staged calls in flight (admitted, reply
   /// not yet queued) before the reactor stops reading from connections.
   /// It also bounds the small-call prologues the reactor runs inline
@@ -71,10 +68,13 @@ struct ServerOptions {
   /// entries registered with the IDL `Idempotent` clause.  0 disables
   /// retention AND single-flight coalescing entirely.
   std::size_t cache_max_bytes = 64 * 1024 * 1024;
-  /// Cached idempotent replies older than this are discarded (<= 0 keeps
-  /// them until evicted by cache_max_bytes pressure).
-  double cache_ttl_seconds = 300.0;
 };
+
+/// Two-phase results that were never fetched are discarded this many
+/// seconds after completing.
+inline constexpr double kPendingTtlSeconds = 300.0;
+/// Cached idempotent replies older than this are discarded.
+inline constexpr double kCacheTtlSeconds = 300.0;
 
 class NinfServer {
  public:
@@ -138,9 +138,10 @@ class NinfServer {
   /// reactor, which queues it and releases the call's admission slot.
   void postReply(std::uint64_t conn_id, common::PooledBuffer reply);
 
-  /// Compute the reply to a small control message (everything but
-  /// CallRequest/SubmitRequest), framing-agnostic.
-  ReplyEnvelope controlReply(const protocol::Message& msg);
+  /// Compute the reply to a small control frame (everything but
+  /// CallRequest/SubmitRequest) from its type and body, framing-agnostic.
+  ReplyEnvelope controlReply(protocol::MessageType type,
+                             std::span<const std::uint8_t> body);
 
   /// Emit a cached (or owner-aborted) idempotent reply for a
   /// reactor-staged call: wraps the shared payload in this caller's own

@@ -151,20 +151,6 @@ class FaultyStream : public Stream {
   FaultyStream(std::unique_ptr<Stream> inner, std::shared_ptr<FaultPlan> plan)
       : inner_(std::move(inner)), plan_(std::move(plan)) {}
 
-  void sendAll(std::span<const std::uint8_t> data) override {
-    if (plan_->enabled()) {
-      const FaultPlan::OpFault f = plan_->onSend(data.size());
-      applyDelay(f.delay_ms);
-      if (f.reset) abortConnection("connection reset before send");
-      if (f.truncate_at != FaultPlan::kNoTruncate &&
-          f.truncate_at < data.size()) {
-        if (f.truncate_at > 0) inner_->sendAll(data.first(f.truncate_at));
-        abortTruncated(f.truncate_at, data.size());
-      }
-    }
-    inner_->sendAll(data);
-  }
-
   void sendv(
       std::span<const std::span<const std::uint8_t>> buffers) override {
     if (plan_->enabled()) {

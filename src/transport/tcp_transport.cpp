@@ -73,31 +73,6 @@ class TcpStream : public Stream {
 
   ~TcpStream() override { closeFd(/*shutdown_first=*/false); }
 
-  void sendAll(std::span<const std::uint8_t> data) override {
-    const int fd = fd_.load();
-    if (fd < 0) throw TransportError("send on closed stream");
-    obs::Span span("tcp.send", static_cast<std::int64_t>(data.size()));
-    // Counted per chunk actually accepted by the kernel, so the counter
-    // stays truthful when a deadline or reset aborts mid-message.
-    static obs::Counter& tx = obs::counter("transport.tcp.bytes_sent");
-    const std::int64_t deadline = deadline_us_.load(std::memory_order_relaxed);
-    const bool timed = deadline != kNoDeadlineUs;
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      if (timed) awaitReady(POLLOUT, deadline, "send to ");
-      const ssize_t n =
-          ::send(fd, data.data() + sent, data.size() - sent,
-                 MSG_NOSIGNAL | (timed ? MSG_DONTWAIT : 0));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (timed && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-        throwErrno("send to " + peer_);
-      }
-      sent += static_cast<std::size_t>(n);
-      tx.add(static_cast<std::uint64_t>(n));
-    }
-  }
-
   void sendv(
       std::span<const std::span<const std::uint8_t>> buffers) override {
     const int fd = fd_.load();
@@ -109,7 +84,8 @@ class TcpStream : public Stream {
     static obs::Counter& tx = obs::counter("transport.tcp.bytes_sent");
     const std::int64_t deadline = deadline_us_.load(std::memory_order_relaxed);
     const bool timed = deadline != kNoDeadlineUs;
-    // sendmsg (not writev) so MSG_NOSIGNAL applies, as in sendAll.
+    // sendmsg (not writev) so MSG_NOSIGNAL applies: a peer that hung up
+    // surfaces as EPIPE, not SIGPIPE.
     constexpr std::size_t kMaxIov = 64;
     struct iovec iov[kMaxIov];
     std::size_t idx = 0;  // current buffer

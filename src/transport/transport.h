@@ -24,20 +24,12 @@ class Stream {
  public:
   virtual ~Stream() = default;
 
-  /// Send every byte; throws ninf::TransportError on failure.
-  virtual void sendAll(std::span<const std::uint8_t> data) NINF_BLOCKING = 0;
-
-  /// Scatter-gather send: every byte of every buffer, in order, as if by
-  /// one sendAll over the concatenation.  The TCP implementation uses
-  /// writev/sendmsg so a frame header, scalar section, and array chunk go
-  /// out in a single syscall; the default falls back to per-buffer
-  /// sendAll.
+  /// Send every byte of every buffer, in order; throws
+  /// ninf::TransportError on failure.  The only blocking send: a frame
+  /// header, its scalar section and an array chunk go out together (one
+  /// writev on sockets), and a single buffer is a one-element list.
   virtual void sendv(std::span<const std::span<const std::uint8_t>> buffers)
-      NINF_BLOCKING {
-    for (const auto& b : buffers) {
-      if (!b.empty()) sendAll(b);
-    }
-  }
+      NINF_BLOCKING = 0;
 
   /// Receive exactly buffer.size() bytes; throws ninf::TransportError on
   /// EOF or failure.

@@ -29,6 +29,7 @@
 #include "numlib/mmul.h"
 #include "reactor_probe.h"
 #include "server/server.h"
+#include "stream_send.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -331,7 +332,7 @@ TEST(FaultInjection, NoFaultPlanPassesBytesThroughIdentically) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
   }
-  wrapped->sendAll(payload);
+  sendBytes(*wrapped, payload);
   const std::span<const std::uint8_t> half[] = {
       std::span(payload).first(1000), std::span(payload).subspan(1000)};
   wrapped->sendv(half);
@@ -351,7 +352,7 @@ TEST(FaultInjection, ScriptedResetFiresExactlyOnce) {
   auto [a, b] = transport::inprocPair();
   auto wrapped = transport::wrapFaulty(std::move(a), plan);
   const std::uint8_t byte = 1;
-  EXPECT_THROW(wrapped->sendAll({&byte, 1}), TransportError);
+  EXPECT_THROW(sendBytes(*wrapped, {&byte, 1}), TransportError);
   EXPECT_EQ(plan->injectedCount(), 1u);
 }
 
@@ -362,7 +363,7 @@ TEST(FaultInjection, TruncatedSendDeliversOnlyAPrefix) {
   auto [a, b] = transport::inprocPair();
   auto wrapped = transport::wrapFaulty(std::move(a), plan);
   std::vector<std::uint8_t> payload(64, 0xAB);
-  EXPECT_THROW(wrapped->sendAll(payload), TransportError);
+  EXPECT_THROW(sendBytes(*wrapped, payload), TransportError);
   EXPECT_GE(plan->injectedCount(), 1u);
   // Whatever arrived is a strict prefix; the connection then died.
   std::vector<std::uint8_t> got(payload.size());
@@ -388,7 +389,7 @@ TEST(FaultInjection, StutteredRecvPreservesByteOrder) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i);
   }
-  a->sendAll(payload);
+  sendBytes(*a, payload);
   std::vector<std::uint8_t> got(payload.size());
   wrapped->recvAll(got);
   EXPECT_EQ(got, payload);
@@ -416,7 +417,7 @@ TEST(FaultInjection, ListenerRefusalDropsFirstConnection) {
   EXPECT_EQ(plan->injectedCount(), 1u);
   // The surviving pair still carries data faithfully.
   const std::uint8_t msg = 0x5A;
-  survivor->sendAll({&msg, 1});
+  sendBytes(*survivor, {&msg, 1});
   std::uint8_t got = 0;
   stream->recvAll({&got, 1});
   EXPECT_EQ(got, 0x5A);
@@ -456,7 +457,7 @@ TEST(FaultInjection, NonBlockingDelayIsOneSpuriousWouldBlock) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(p.faulty->sendvNowait(iov), 0u);
   EXPECT_EQ(p.faulty->sendvNowait(iov), payload.size());
-  p.peer->sendAll(payload);
+  sendBytes(*p.peer, payload);
   EXPECT_EQ(p.faulty->recvNowait(got), 0u);
   EXPECT_EQ(p.faulty->recvNowait(got), payload.size());
   EXPECT_LT(secondsSince(start), 0.1);
@@ -511,7 +512,7 @@ TEST(FaultInjection, NonBlockingStutterCapsEachRead) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i);
   }
-  p.peer->sendAll(payload);
+  sendBytes(*p.peer, payload);
   std::vector<std::uint8_t> got(payload.size());
   std::size_t received = 0;
   while (received < got.size()) {
@@ -547,7 +548,7 @@ TEST(FaultInjection, TryAcceptDropsScriptedRefusal) {
   EXPECT_EQ(status, transport::AcceptStatus::Accepted);
   EXPECT_EQ(plan->injectedCount(), 1u);
   const std::uint8_t msg = 0x5A;
-  survivor->sendAll({&msg, 1});
+  sendBytes(*survivor, {&msg, 1});
   std::uint8_t got = 0;
   stream->recvAll({&got, 1});
   EXPECT_EQ(got, 0x5A);

@@ -20,6 +20,7 @@
 #include "numlib/mmul.h"
 #include "obs/metrics.h"
 #include "server/server.h"
+#include "stream_send.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -81,7 +82,7 @@ TEST(Deadline, ClearDeadlineDisables) {
   auto sender = std::async(std::launch::async, [&a = a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     const std::uint8_t one = 7;
-    a->sendAll({&one, 1});
+    sendBytes(*a, {&one, 1});
   });
   // Data arrives well after the (cleared) deadline would have fired.
   std::uint8_t buf[1];
@@ -97,7 +98,7 @@ TEST(Deadline, NonPositiveSecondsClears) {
   auto sender = std::async(std::launch::async, [&a = a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     const std::uint8_t one = 9;
-    a->sendAll({&one, 1});
+    sendBytes(*a, {&one, 1});
   });
   std::uint8_t buf[1];
   b->recvAll(buf);
@@ -111,12 +112,12 @@ TEST(Deadline, DataBeforeDeadlineSucceeds) {
     auto stream = listener.accept();
     std::uint8_t buf[3];
     stream->recvAll(buf);
-    stream->sendAll(buf);
+    sendBytes(*stream, buf);
   });
   auto client = transport::tcpConnect("127.0.0.1", listener.port());
   client->setDeadlineIn(5.0);
   const std::uint8_t msg[3] = {1, 2, 3};
-  client->sendAll(msg);
+  sendBytes(*client, msg);
   std::uint8_t echo[3];
   client->recvAll(echo);
   EXPECT_EQ(echo[2], 3);
@@ -161,9 +162,9 @@ class RetryFixture : public ::testing::Test {
 
 TEST_F(RetryFixture, RetriesRecoverFromInjectedReset) {
   transport::FaultSpec spec;
-  // The first send is the Hello handshake, whose reset is absorbed by
-  // the free v1-fallback reconnect; the second reset lands on the call
-  // path proper and must be recovered by the retry budget.
+  // Every attempt opens a fresh connection with a Hello, so both resets
+  // land on handshakes: the first two attempts fail and the retry budget
+  // of two recovers the call on the third, over a negotiated v2 channel.
   spec.reset_first_sends = 2;
   auto plan = std::make_shared<transport::FaultPlan>(1, spec);
   auto client = faultyClient(plan);
@@ -182,6 +183,7 @@ TEST_F(RetryFixture, RetriesRecoverFromInjectedReset) {
   client->call("dmmul", args, opts);
 
   EXPECT_EQ(plan->injectedCount(), 2u);
+  EXPECT_EQ(client->channel().negotiatedVersion(), protocol::kVersion2);
   const numlib::Matrix expected = numlib::dmmul(a, b);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], expected.flat()[i], 1e-12);
@@ -190,10 +192,9 @@ TEST_F(RetryFixture, RetriesRecoverFromInjectedReset) {
 
 TEST_F(RetryFixture, NoRetryBudgetSurfacesTransportError) {
   transport::FaultSpec spec;
-  // Send #1 is the Hello handshake (its reset is absorbed by the v1
-  // fallback, which is free by design); send #2 hits the call path,
-  // where a reset with no retry budget must surface.
-  spec.reset_first_sends = 2;
+  // Send #1 is the Hello handshake: with no retry budget its reset must
+  // surface, exactly as a reset on the call path does.
+  spec.reset_first_sends = 1;
   auto plan = std::make_shared<transport::FaultPlan>(2, spec);
   auto client = faultyClient(plan);
 
@@ -202,6 +203,7 @@ TEST_F(RetryFixture, NoRetryBudgetSurfacesTransportError) {
                                 ArgValue::outArray(sums),
                                 ArgValue::outArray(q)};
   EXPECT_THROW(client->call("ep", args), TransportError);
+  EXPECT_EQ(plan->injectedCount(), 1u);
   // The same client recovers on the next call: the retry machinery
   // reconnects lazily even when the failed call had no retry budget.
   client->call("ep", args);

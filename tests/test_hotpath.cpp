@@ -331,9 +331,6 @@ class ThrottledStream : public transport::Stream {
   explicit ThrottledStream(std::unique_ptr<transport::Stream> inner)
       : inner_(std::move(inner)) {}
 
-  void sendAll(std::span<const std::uint8_t> data) override {
-    inner_->sendAll(data);
-  }
   void sendv(
       std::span<const std::span<const std::uint8_t>> buffers) override {
     inner_->sendv(buffers);

@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "protocol/message.h"
+#include "stream_send.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
 
@@ -21,7 +22,7 @@ TEST(Message, RoundTripOverInproc) {
   auto [a, b] = transport::inprocPair();
   xdr::Encoder enc;
   enc.putString("dmmul");
-  sendMessage(*a, MessageType::QueryInterface, enc.bytes());
+  sendFrame(*a, WireMode::V1, MessageType::QueryInterface, enc.bytes());
 
   const Message msg = recvMessage(*b);
   EXPECT_EQ(msg.type, MessageType::QueryInterface);
@@ -31,16 +32,34 @@ TEST(Message, RoundTripOverInproc) {
 
 TEST(Message, EmptyPayload) {
   auto [a, b] = transport::inprocPair();
-  sendMessage(*a, MessageType::ListExecutables,
+  sendFrame(*a, WireMode::V1, MessageType::ListExecutables,
               std::span<const std::uint8_t>{});
   const Message msg = recvMessage(*b);
   EXPECT_EQ(msg.type, MessageType::ListExecutables);
   EXPECT_TRUE(msg.payload.empty());
 }
 
+// ---- every wire mode through the one sender --------------------------------
+
+constexpr WireMode kModes[] = {WireMode::V1, WireMode::V2, WireMode::V2Traced};
+
+const char* modeName(WireMode mode) {
+  return mode == WireMode::V1   ? "V1"
+         : mode == WireMode::V2 ? "V2"
+                                : "V2Traced";
+}
+
+/// A call ID and trace context for the layouts whose header carries them.
+constexpr std::uint64_t kCallId = 0x0102030405060708ULL;
+constexpr WireTraceContext kTrace{0x1112131415161718ULL,
+                                  0x2122232425262728ULL};
+
 TEST(Message, StreamedSendMatchesContiguousWireFormat) {
-  // The scatter-gather pipeline must be byte-identical on the wire to the
-  // legacy contiguous path.
+  // In every mode, the streamed sender (the client's large-request path)
+  // must put the bytes of flattenFramePooled (the reactor's reply path)
+  // on the wire, borrowed double arrays included, and its body must be
+  // byte-identical to the contiguous encoding.  The flat-body overload
+  // must match frameFromPayload the same way.
   std::vector<double> big(5000);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<double>(i) * 0.25 - 7.0;
@@ -55,30 +74,54 @@ TEST(Message, StreamedSendMatchesContiguousWireFormat) {
   contiguous.putDoubleArray(big);  // copied
   contiguous.putU32(0xCAFEF00D);
 
-  auto [a, b] = transport::inprocPair();
-  sendMessage(*a, MessageType::Ping, streamed);
-  const Message msg = recvMessage(*b);
-  EXPECT_EQ(msg.type, MessageType::Ping);
-  EXPECT_EQ(msg.payload, contiguous.bytes());
+  for (const WireMode mode : kModes) {
+    SCOPED_TRACE(modeName(mode));
+    auto [a, b] = transport::inprocPair();
+    const auto receivedEquals = [&b = b](const common::PooledBuffer& frame) {
+      std::vector<std::uint8_t> wire(frame.size());
+      b->recvAll(wire);
+      return std::ranges::equal(wire, frame.span());
+    };
+    sendFrame(*a, mode, MessageType::Ping, streamed, kCallId, kTrace);
+    const common::PooledBuffer flat =
+        flattenFramePooled(mode, MessageType::Ping, kCallId, kTrace, streamed);
+    EXPECT_TRUE(receivedEquals(flat));
+    EXPECT_TRUE(std::ranges::equal(flat.span().subspan(headerBytes(mode)),
+                                   contiguous.bytes()));
+
+    sendFrame(*a, mode, MessageType::Ping, contiguous.bytes(), kCallId,
+              kTrace);
+    EXPECT_TRUE(receivedEquals(frameFromPayload(
+        mode, MessageType::Ping, kCallId, kTrace, contiguous.bytes())));
+  }
 }
 
 TEST(Message, HeaderPlusBodyReaderRoundTrip) {
-  auto [a, b] = transport::inprocPair();
   std::vector<double> values(3000, 1.5);
   xdr::Encoder enc;
   enc.putU32(42);
   enc.putDoubleArrayRef(values);
-  sendMessage(*a, MessageType::CallRequest, enc);
+  for (const WireMode mode : kModes) {
+    SCOPED_TRACE(modeName(mode));
+    auto [a, b] = transport::inprocPair();
+    sendFrame(*a, mode, MessageType::CallRequest, enc, kCallId, kTrace);
 
-  const FrameHeader header = recvHeader(*b);
-  EXPECT_EQ(header.type, MessageType::CallRequest);
-  EXPECT_EQ(header.length, enc.size());
-  BodyReader body(*b, header.length);
-  EXPECT_EQ(body.getU32(), 42u);
-  std::vector<double> out(values.size());
-  body.getDoubleArrayInto(out);
-  EXPECT_TRUE(body.atEnd());
-  EXPECT_EQ(out, values);
+    const FrameHeader header = recvHeader(*b, mode);
+    EXPECT_EQ(header.type, MessageType::CallRequest);
+    EXPECT_EQ(header.length, enc.size());
+    // A field the layout does not carry reads back as zero.
+    const bool v2 = mode != WireMode::V1;
+    const bool traced = mode == WireMode::V2Traced;
+    EXPECT_EQ(header.call_id, v2 ? kCallId : 0u);
+    EXPECT_EQ(header.trace.trace_id, traced ? kTrace.trace_id : 0u);
+    EXPECT_EQ(header.trace.parent_span, traced ? kTrace.parent_span : 0u);
+    BodyReader body(*b, header.length);
+    EXPECT_EQ(body.getU32(), 42u);
+    std::vector<double> out(values.size());
+    body.getDoubleArrayInto(out);
+    EXPECT_TRUE(body.atEnd());
+    EXPECT_EQ(out, values);
+  }
 }
 
 TEST(Message, BodyReaderDrainKeepsFramingAligned) {
@@ -86,12 +129,12 @@ TEST(Message, BodyReaderDrainKeepsFramingAligned) {
   std::vector<double> values(2000, 3.25);
   xdr::Encoder enc;
   enc.putDoubleArrayRef(values);
-  sendMessage(*a, MessageType::CallRequest, enc);
+  sendFrame(*a, WireMode::V1, MessageType::CallRequest, enc);
   xdr::Encoder follow;
   follow.putU32(7);
-  sendMessage(*a, MessageType::Ping, follow.bytes());
+  sendFrame(*a, WireMode::V1, MessageType::Ping, follow.bytes());
 
-  FrameHeader header = recvHeader(*b);
+  FrameHeader header = recvHeader(*b, WireMode::V1);
   BodyReader body(*b, header.length);
   body.drain();  // skip the whole call body
   const Message next = recvMessage(*b);
@@ -104,8 +147,8 @@ TEST(Message, BodyReaderUnderflowThrowsProtocolError) {
   auto [a, b] = transport::inprocPair();
   xdr::Encoder enc;
   enc.putU32(1);
-  sendMessage(*a, MessageType::CallRequest, enc.bytes());
-  FrameHeader header = recvHeader(*b);
+  sendFrame(*a, WireMode::V1, MessageType::CallRequest, enc.bytes());
+  FrameHeader header = recvHeader(*b, WireMode::V1);
   BodyReader body(*b, header.length);
   EXPECT_EQ(body.getU32(), 1u);
   EXPECT_THROW(body.getU32(), ProtocolError);  // past the declared body
@@ -116,7 +159,7 @@ TEST(Message, SequencedMessagesArriveInOrder) {
   for (std::uint32_t i = 0; i < 10; ++i) {
     xdr::Encoder enc;
     enc.putU32(i);
-    sendMessage(*a, MessageType::Ping, enc.bytes());
+    sendFrame(*a, WireMode::V1, MessageType::Ping, enc.bytes());
   }
   for (std::uint32_t i = 0; i < 10; ++i) {
     const Message msg = recvMessage(*b);
@@ -128,7 +171,7 @@ TEST(Message, SequencedMessagesArriveInOrder) {
 TEST(Message, BadMagicRejected) {
   auto [a, b] = transport::inprocPair();
   const std::uint8_t junk[16] = {1, 2, 3, 4};
-  a->sendAll(junk);
+  sendBytes(*a, junk);
   EXPECT_THROW(recvMessage(*b), ProtocolError);
 }
 
@@ -139,7 +182,7 @@ TEST(Message, BadVersionRejected) {
   header.putU32(kVersion + 1);
   header.putU32(static_cast<std::uint32_t>(MessageType::Ping));
   header.putU32(0);
-  a->sendAll(header.bytes());
+  sendBytes(*a, header.bytes());
   EXPECT_THROW(recvMessage(*b), ProtocolError);
 }
 
@@ -150,7 +193,7 @@ TEST(Message, UnknownTypeRejected) {
   header.putU32(kVersion);
   header.putU32(9999);
   header.putU32(0);
-  a->sendAll(header.bytes());
+  sendBytes(*a, header.bytes());
   EXPECT_THROW(recvMessage(*b), ProtocolError);
 }
 
@@ -161,7 +204,7 @@ TEST(Message, OversizedLengthRejected) {
   header.putU32(kVersion);
   header.putU32(static_cast<std::uint32_t>(MessageType::Ping));
   header.putU32(kMaxPayload + 1);
-  a->sendAll(header.bytes());
+  sendBytes(*a, header.bytes());
   EXPECT_THROW(recvMessage(*b), ProtocolError);
 }
 
@@ -336,7 +379,7 @@ TEST(FrameAssembler, SwitchesToV2AfterHelloWithTheNextFramesBuffered) {
   const auto big = patternBytes(300000, 10);
   std::vector<std::uint8_t> wire;
   xdr::Encoder hello;
-  hello.putU32(kVersion2);
+  Hello{kVersion2, std::nullopt}.encode(hello);
   appendFrame(wire, WireMode::V1, MessageType::Hello, 0, hello.bytes());
   appendFrame(wire, WireMode::V2, MessageType::CallRequest, 41, big);
   appendFrame(wire, WireMode::V2, MessageType::Ping, 42, patternBytes(8, 11));

@@ -323,17 +323,19 @@ class ScriptedStatusPeers {
     try {
       protocol::recvMessage(s);  // Hello
       xdr::Encoder ack;
-      ack.putU32(protocol::kVersion2);
-      protocol::sendMessage(s, protocol::MessageType::HelloAck, ack.bytes());
+      protocol::HelloAck{protocol::kVersion2, std::nullopt}.encode(ack);
+      protocol::sendFrame(s, protocol::WireMode::V1,
+                          protocol::MessageType::HelloAck, ack);
       for (;;) {
-        const auto request = protocol::recvHeaderV2(s);
+        const auto request = protocol::recvHeader(s, protocol::WireMode::V2);
         protocol::BodyReader(s, request.length).drain();
         if (mute) continue;
         std::this_thread::sleep_for(delay);
         protocol::ServerStatusInfo status;
         status.load_average = load;
-        protocol::sendMessageV2(s, protocol::MessageType::StatusReply,
-                                request.call_id, status.toBytes());
+        protocol::sendFrame(s, protocol::WireMode::V2,
+                            protocol::MessageType::StatusReply,
+                            status.toBytes(), request.call_id);
       }
     } catch (const Error&) {
       // The metaserver hung up.

@@ -8,6 +8,7 @@
 #include "idl/interface_info.h"
 #include "protocol/call_marshal.h"
 #include "protocol/message.h"
+#include "stream_send.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
 
@@ -196,7 +197,7 @@ TEST_P(FuzzDecodeTest, RandomBytesNeverCrashDecoders) {
     // Message framing (feed junk through a pipe).
     try {
       auto [a, b] = transport::inprocPair();
-      a->sendAll(junk);
+      sendBytes(*a, junk);
       a->shutdownSend();
       protocol::recvMessage(*b);
     } catch (const Error&) {

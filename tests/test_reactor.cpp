@@ -28,6 +28,7 @@
 #include "protocol/message.h"
 #include "reactor_probe.h"
 #include "server/server.h"
+#include "stream_send.h"
 #include "transport/fault_injection.h"
 #include "transport/tcp_transport.h"
 #include "xdr/xdr.h"
@@ -108,12 +109,13 @@ TEST_F(ReactorTest, IdleConnectionsParkWithoutThreads) {
   for (int i = 0; i < kIdle; ++i) {
     idle.push_back(transport::tcpConnect("127.0.0.1", port_));
     xdr::Encoder hello;
-    hello.putU32(protocol::kMaxVersion);
-    protocol::sendMessage(*idle.back(), protocol::MessageType::Hello,
-                          hello.bytes());
+    protocol::Hello{}.encode(hello);
+    protocol::sendFrame(*idle.back(), protocol::WireMode::V1,
+                        protocol::MessageType::Hello, hello);
     const protocol::Message ack = protocol::recvMessage(*idle.back());
     ASSERT_EQ(ack.type, protocol::MessageType::HelloAck) << "connection " << i;
-    ASSERT_GE(xdr::Decoder(ack.payload).getU32(), protocol::kVersion2);
+    xdr::Decoder dec(ack.payload);
+    ASSERT_GE(protocol::HelloAck::decode(dec).version, protocol::kVersion2);
   }
   ASSERT_TRUE(waitFor([&] { return reactorFds() >= kIdle + 1; }))
       << "fds gauge " << reactorFds();
@@ -166,7 +168,7 @@ TEST_F(ReactorTest, SlowLorisDoesNotStallOtherClients) {
   header.putU32(4);  // body: 4 bytes, never fully sent
   const auto bytes = header.bytes();
   for (std::size_t i = 0; i < protocol::kHeaderBytes / 2; ++i) {
-    loris->sendAll(std::span<const std::uint8_t>(&bytes[i], 1));
+    sendBytes(*loris, std::span<const std::uint8_t>(&bytes[i], 1));
   }
 
   // A well-behaved client gets full service meanwhile.
@@ -177,10 +179,10 @@ TEST_F(ReactorTest, SlowLorisDoesNotStallOtherClients) {
 
   // The loris completes its frame eventually and still gets its Pong.
   for (std::size_t i = protocol::kHeaderBytes / 2; i < bytes.size(); ++i) {
-    loris->sendAll(std::span<const std::uint8_t>(&bytes[i], 1));
+    sendBytes(*loris, std::span<const std::uint8_t>(&bytes[i], 1));
   }
   const std::array<std::uint8_t, 4> body = {1, 2, 3, 4};
-  loris->sendAll(body);
+  sendBytes(*loris, body);
   const protocol::Message pong = protocol::recvMessage(*loris);
   EXPECT_EQ(pong.type, protocol::MessageType::Pong);
   ASSERT_EQ(pong.payload.size(), 4u);
@@ -198,9 +200,9 @@ TEST_F(ReactorTest, MidBodyDisconnectCleansUp) {
     header.putU32(
         static_cast<std::uint32_t>(protocol::MessageType::CallRequest));
     header.putU32(100000);  // declares a body it will never finish
-    doomed->sendAll(header.bytes());
+    sendBytes(*doomed, header.bytes());
     const std::vector<std::uint8_t> partial(512, 0xAB);
-    doomed->sendAll(partial);
+    sendBytes(*doomed, partial);
     ASSERT_TRUE(waitFor([&] { return reactorFds() > baseline; }));
   }  // disconnect mid-body
   EXPECT_TRUE(waitFor([&] { return reactorFds() <= baseline; }))
@@ -228,8 +230,8 @@ TEST_F(ReactorTest, DeclaredHugeBodyCostsOnlyTheBytesThatArrive) {
   header.putU32(
       static_cast<std::uint32_t>(protocol::MessageType::CallRequest));
   header.putU32(64u << 20);  // declares 64 MiB, sends 4 KiB, stalls
-  stalled->sendAll(header.bytes());
-  stalled->sendAll(std::vector<std::uint8_t>(4096, 0x5A));
+  sendBytes(*stalled, header.bytes());
+  sendBytes(*stalled, std::vector<std::uint8_t>(4096, 0x5A));
   ASSERT_TRUE(waitFor([&] { return reactorFds() >= 2.0; }));
 
   // A second client is served in full meanwhile.
@@ -287,8 +289,8 @@ TEST_F(ReactorTest, StalledHugeDeclarationsCommitAtMostTheInPlaceBudget) {
     header.putU32(
         static_cast<std::uint32_t>(protocol::MessageType::CallRequest));
     header.putU32(length);
-    stalled.back()->sendAll(header.bytes());
-    stalled.back()->sendAll(std::vector<std::uint8_t>(4096, 0x5A));
+    sendBytes(*stalled.back(), header.bytes());
+    sendBytes(*stalled.back(), std::vector<std::uint8_t>(4096, 0x5A));
   }
   ASSERT_TRUE(waitFor([&] {
     return protocol::FrameAssembler::inPlaceClaimedBytes() >=
@@ -315,13 +317,15 @@ TEST_F(ReactorTest, V1ClientInterop) {
   // Raw v1 wire, no Hello: lock-step framing against the reactor.
   auto stream = transport::tcpConnect("127.0.0.1", port_);
   const std::vector<std::uint8_t> echo = {9, 8, 7};
-  protocol::sendMessage(*stream, protocol::MessageType::Ping, echo);
+  protocol::sendFrame(*stream, protocol::WireMode::V1,
+                      protocol::MessageType::Ping, echo);
   protocol::Message pong = protocol::recvMessage(*stream);
   EXPECT_EQ(pong.type, protocol::MessageType::Pong);
   EXPECT_EQ(pong.payload, echo);
 
-  protocol::sendMessage(*stream, protocol::MessageType::ListExecutables,
-                        std::span<const std::uint8_t>{});
+  protocol::sendFrame(*stream, protocol::WireMode::V1,
+                      protocol::MessageType::ListExecutables,
+                      std::span<const std::uint8_t>{});
   const protocol::Message list = protocol::recvMessage(*stream);
   EXPECT_EQ(list.type, protocol::MessageType::ExecutableList);
   xdr::Decoder dec(list.payload);
@@ -424,11 +428,12 @@ TEST(ReactorHangup, LocallyAbortedConnectionIsClosedNotPolled) {
   xdr::Encoder call;
   call.putString("nap");
   call.putI64(300);
-  protocol::sendMessage(*stream, protocol::MessageType::CallRequest,
-                        call.bytes());  // first recv: the call is staged
+  protocol::sendFrame(*stream, protocol::WireMode::V1,
+                      protocol::MessageType::CallRequest,
+                      call.bytes());  // first recv: the call is staged
   ASSERT_TRUE(waitFor([&] { return started.load(); }));
   const std::uint8_t poke = 0;
-  stream->sendAll({&poke, 1});  // second recv: injected reset
+  sendBytes(*stream, {&poke, 1});  // second recv: injected reset
   ASSERT_TRUE(waitFor([&] { return plan->injectedCount() >= 1; }));
 
   const double cpu_before = processCpuSeconds();
@@ -462,8 +467,8 @@ TEST(ReactorV1Hold, PipelinedFramesWaitInTheKernelNotTheServer) {
   xdr::Encoder call;
   call.putString("nap");
   call.putI64(500);
-  protocol::sendMessage(*stream, protocol::MessageType::CallRequest,
-                        call.bytes());
+  protocol::sendFrame(*stream, protocol::WireMode::V1,
+                      protocol::MessageType::CallRequest, call.bytes());
   ASSERT_TRUE(waitFor([&] { return napping.load(); }));
   const double rss_before = processRssBytes();
   ASSERT_GT(rss_before, 0.0);
@@ -479,8 +484,8 @@ TEST(ReactorV1Hold, PipelinedFramesWaitInTheKernelNotTheServer) {
   std::thread sender([&] {
     try {
       for (std::uint32_t i = 0; i < kPings; ++i) {
-        protocol::sendMessage(*stream, protocol::MessageType::Ping,
-                              pingBody(i));
+        protocol::sendFrame(*stream, protocol::WireMode::V1,
+                            protocol::MessageType::Ping, pingBody(i));
       }
     } catch (const Error&) {
       // The test closed the stream after a failed check.

@@ -19,6 +19,7 @@
 #include "protocol/message.h"
 #include "reactor_probe.h"
 #include "server/server.h"
+#include "stream_send.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -260,9 +261,6 @@ class HeldSendStream : public transport::Stream {
     }
     inner_->sendv(buffers);
   }
-  void sendAll(std::span<const std::uint8_t> data) override {
-    inner_->sendAll(data);
-  }
   void recvAll(std::span<std::uint8_t> buffer) override {
     inner_->recvAll(buffer);
   }
@@ -357,34 +355,24 @@ TEST_F(SessionFixture, FailedWaveFailsEveryQueuedCallThenChannelRecovers) {
   EXPECT_FALSE(client.channel().broken());
 }
 
-TEST(ChannelInterop, FallsBackToV1WhenPeerClosesOnHello) {
-  // A pre-negotiation server aborts the connection on the unknown Hello
-  // frame without replying anything.  The client must read that close as
-  // "old peer" and fall back to protocol v1 over one fresh connection,
-  // not surface a TransportError.
+TEST_F(SessionFixture, PeerClosingOnHelloFailsTheCallAndReconnectsToV2) {
+  // A peer that drops the connection on Hello is a failed handshake like
+  // any other send failure: the call surfaces TransportError, and the
+  // next exchange reconnects through the factory and negotiates v2.  The
+  // channel is never downgraded to lock-step v1.
   auto [c1, s1] = transport::inprocPair();
-  auto [c2, s2] = transport::inprocPair();
-  auto client = std::make_unique<NinfClient>(std::move(c1));
-  auto next =
-      std::make_shared<std::unique_ptr<transport::Stream>>(std::move(c2));
-  client->setReconnect([next] { return std::move(*next); });
-
-  std::thread old_server([&s1, &s2] {
-    // "Old server": consume the Hello frame, then abort the connection.
-    (void)protocol::recvMessage(*s1);
+  NinfClient client(std::move(c1));
+  client.setReconnect(
+      [this] { return transport::tcpConnect("127.0.0.1", port_); });
+  std::thread closer([&s1] {
+    (void)protocol::recvMessage(*s1);  // the Hello
     s1->close();
-    // The fallback connection speaks plain lock-step v1.
-    const auto ping = protocol::recvMessage(*s2);
-    EXPECT_EQ(ping.type, protocol::MessageType::Ping);
-    protocol::sendMessage(*s2, protocol::MessageType::Pong, ping.payload);
   });
-  const double fallbacks_before =
-      obs::counter("channel.hello_fallbacks").value();
-  EXPECT_GE(client->ping(), 0.0);
-  EXPECT_EQ(client->channel().negotiatedVersion(), protocol::kVersion);
-  EXPECT_GE(obs::counter("channel.hello_fallbacks").value() - fallbacks_before,
-            1.0);
-  old_server.join();
+  EXPECT_THROW(client.ping(), TransportError);
+  closer.join();
+  EXPECT_GE(client.ping(), 0.0);
+  EXPECT_EQ(client.channel().negotiatedVersion(), protocol::kVersion2);
+  EXPECT_DOUBLE_EQ(nap(client, 1), 1.0);
 }
 
 TEST(ChannelStall, MidReplyStallBoundsDeadlinedCallAndBreaksChannel) {
@@ -400,23 +388,18 @@ TEST(ChannelStall, MidReplyStallBoundsDeadlinedCallAndBreaksChannel) {
     const auto hello = protocol::recvMessage(*s_end);
     EXPECT_EQ(hello.type, protocol::MessageType::Hello);
     xdr::Encoder ack;
-    ack.putU32(protocol::kVersion2);
-    protocol::sendMessage(*s_end, protocol::MessageType::HelloAck,
-                          ack.bytes());
-    const auto request = protocol::recvHeaderV2(*s_end);
+    protocol::HelloAck{protocol::kVersion2, std::nullopt}.encode(ack);
+    protocol::sendFrame(*s_end, protocol::WireMode::V1,
+                        protocol::MessageType::HelloAck, ack);
+    const auto request = protocol::recvHeader(*s_end, protocol::WireMode::V2);
     protocol::BodyReader body(*s_end, request.length);
     body.drain();
     // Reply header promises 64 body bytes; deliver 8, then go mute.
-    xdr::Encoder header;
-    header.putU32(protocol::kMagic);
-    header.putU32(protocol::kVersion2);
-    header.putU32(static_cast<std::uint32_t>(protocol::MessageType::Pong));
-    header.putU32(64);
-    header.putU32(static_cast<std::uint32_t>(request.call_id >> 32));
-    header.putU32(static_cast<std::uint32_t>(request.call_id));
-    s_end->sendAll(header.bytes());
-    const std::array<std::uint8_t, 8> stub{};
-    s_end->sendAll(stub);
+    const std::array<std::uint8_t, 64> promised{};
+    const common::PooledBuffer reply = protocol::frameFromPayload(
+        protocol::WireMode::V2, protocol::MessageType::Pong, request.call_id,
+        {}, promised);
+    sendBytes(*s_end, reply.span().first(protocol::kHeaderBytesV2 + 8));
     // Hold the connection open until the client abandons the wire.
     try {
       std::uint8_t byte;
@@ -450,17 +433,19 @@ TEST(ChannelPending, DroppedWithoutWaitAbandonsTheCallAndChannelLivesOn) {
     const auto hello = protocol::recvMessage(*s_end);
     EXPECT_EQ(hello.type, protocol::MessageType::Hello);
     xdr::Encoder ack;
-    ack.putU32(protocol::kVersion2);
-    protocol::sendMessage(*s_end, protocol::MessageType::HelloAck,
-                          ack.bytes());
+    protocol::HelloAck{protocol::kVersion2, std::nullopt}.encode(ack);
+    protocol::sendFrame(*s_end, protocol::WireMode::V1,
+                        protocol::MessageType::HelloAck, ack);
     try {
       for (;;) {
-        const auto request = protocol::recvHeaderV2(*s_end);
+        const auto request =
+            protocol::recvHeader(*s_end, protocol::WireMode::V2);
         std::vector<std::uint8_t> payload(request.length);
         s_end->recvAll(payload);
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        protocol::sendMessageV2(*s_end, protocol::MessageType::Pong,
-                                request.call_id, payload);
+        protocol::sendFrame(*s_end, protocol::WireMode::V2,
+                            protocol::MessageType::Pong, payload,
+                            request.call_id);
       }
     } catch (const Error&) {
       // The client hung up.
@@ -665,8 +650,8 @@ class EvictionCanaryStream : public transport::Stream {
     probes_->fetch_add(1);
   }
 
-  void sendAll(std::span<const std::uint8_t> data) override {
-    inner_->sendAll(data);
+  void sendv(std::span<const std::span<const std::uint8_t>> buffers) override {
+    inner_->sendv(buffers);
   }
   void recvAll(std::span<std::uint8_t> buffer) override {
     inner_->recvAll(buffer);

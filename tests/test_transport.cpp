@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "stream_send.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
 
@@ -20,12 +21,12 @@ std::vector<std::uint8_t> bytes(std::initializer_list<int> v) {
 
 TEST(Inproc, BytesFlowBothDirections) {
   auto [a, b] = inprocPair();
-  a->sendAll(bytes({1, 2, 3}));
+  sendBytes(*a, bytes({1, 2, 3}));
   std::uint8_t buf[3];
   b->recvAll(buf);
   EXPECT_EQ(buf[0], 1);
   EXPECT_EQ(buf[2], 3);
-  b->sendAll(bytes({9}));
+  sendBytes(*b, bytes({9}));
   std::uint8_t one;
   a->recvAll({&one, 1});
   EXPECT_EQ(one, 9);
@@ -33,8 +34,8 @@ TEST(Inproc, BytesFlowBothDirections) {
 
 TEST(Inproc, RecvAssemblesMultipleSends) {
   auto [a, b] = inprocPair();
-  a->sendAll(bytes({1, 2}));
-  a->sendAll(bytes({3, 4}));
+  sendBytes(*a, bytes({1, 2}));
+  sendBytes(*a, bytes({3, 4}));
   std::uint8_t buf[4];
   b->recvAll(buf);
   EXPECT_EQ(buf[3], 4);
@@ -53,7 +54,7 @@ TEST(Inproc, CloseWakesBlockedReceiver) {
 
 TEST(Inproc, DrainsBufferedBytesBeforeEof) {
   auto [a, b] = inprocPair();
-  a->sendAll(bytes({7, 8}));
+  sendBytes(*a, bytes({7, 8}));
   a->shutdownSend();
   std::uint8_t buf[2];
   b->recvAll(buf);
@@ -65,7 +66,7 @@ TEST(Inproc, DrainsBufferedBytesBeforeEof) {
 TEST(Inproc, SendAfterCloseThrows) {
   auto [a, b] = inprocPair();
   a->close();
-  EXPECT_THROW(a->sendAll(bytes({1})), TransportError);
+  EXPECT_THROW(sendBytes(*a, bytes({1})), TransportError);
 }
 
 TEST(Inproc, SendvDeliversBuffersInOrder) {
@@ -85,7 +86,7 @@ TEST(Inproc, SendvDeliversBuffersInOrder) {
 
 TEST(Inproc, RecvSomeReturnsAvailablePrefix) {
   auto [a, b] = inprocPair();
-  a->sendAll(bytes({1, 2, 3}));
+  sendBytes(*a, bytes({1, 2, 3}));
   std::uint8_t buf[8] = {};
   const std::size_t got = b->recvSome(buf);
   ASSERT_GE(got, 1u);
@@ -95,7 +96,7 @@ TEST(Inproc, RecvSomeReturnsAvailablePrefix) {
 
 TEST(Inproc, RecvSomeThrowsOnceClosedAndDrained) {
   auto [a, b] = inprocPair();
-  a->sendAll(bytes({9}));
+  sendBytes(*a, bytes({9}));
   a->close();
   std::uint8_t buf[4];
   EXPECT_EQ(b->recvSome(buf), 1u);
@@ -109,7 +110,7 @@ TEST(Inproc, PairIsPollable) {
   ASSERT_TRUE(a->setNonBlocking(true));
   std::uint8_t buf[4];
   EXPECT_EQ(a->recvNowait(buf), 0u);  // empty: would block
-  b->sendAll(bytes({6}));
+  sendBytes(*b, bytes({6}));
   EXPECT_EQ(a->recvNowait(buf), 1u);
   EXPECT_EQ(buf[0], 6);
 }
@@ -122,10 +123,10 @@ TEST(Tcp, LoopbackEcho) {
     ASSERT_NE(stream, nullptr);
     std::uint8_t buf[5];
     stream->recvAll(buf);
-    stream->sendAll(buf);
+    sendBytes(*stream, buf);
   });
   auto client = tcpConnect("127.0.0.1", listener.port());
-  client->sendAll(bytes({10, 20, 30, 40, 50}));
+  sendBytes(*client, bytes({10, 20, 30, 40, 50}));
   std::uint8_t echo[5];
   client->recvAll(echo);
   EXPECT_EQ(echo[4], 50);
@@ -145,7 +146,7 @@ TEST(Tcp, LargeTransferIntegrity) {
     EXPECT_EQ(got, big);
   });
   auto client = tcpConnect("127.0.0.1", listener.port());
-  client->sendAll(big);
+  sendBytes(*client, big);
   server_side.get();
 }
 
@@ -182,7 +183,7 @@ TEST(Tcp, RecvSomeReturnsPartialData) {
   TcpListener listener(0);
   auto server_side = std::async(std::launch::async, [&] {
     auto stream = listener.accept();
-    stream->sendAll(bytes({1, 2, 3}));
+    sendBytes(*stream, bytes({1, 2, 3}));
     std::uint8_t ack;
     stream->recvAll({&ack, 1});
   });
@@ -193,7 +194,7 @@ TEST(Tcp, RecvSomeReturnsPartialData) {
   EXPECT_EQ(got, 3u);
   EXPECT_EQ(buf[0], 1);
   EXPECT_EQ(buf[2], 3);
-  client->sendAll(bytes({0}));
+  sendBytes(*client, bytes({0}));
   server_side.get();
 }
 
@@ -203,12 +204,12 @@ TEST(Tcp, TimedConnectSucceedsAgainstLiveListener) {
     auto stream = listener.accept();
     std::uint8_t b;
     stream->recvAll({&b, 1});
-    stream->sendAll({&b, 1});
+    sendBytes(*stream, {&b, 1});
   });
   // Exercises the non-blocking connect + poll path end to end; the
   // stream must come back in blocking mode for recvAll to work.
   auto client = tcpConnect("127.0.0.1", listener.port(), 5.0);
-  client->sendAll(bytes({42}));
+  sendBytes(*client, bytes({42}));
   std::uint8_t echo;
   client->recvAll({&echo, 1});
   EXPECT_EQ(echo, 42);
@@ -251,10 +252,10 @@ TEST(Tcp, ByteCountersMatchTransferredBytesExactly) {
     auto stream = listener.accept();
     std::uint8_t buf[5];
     stream->recvAll(buf);
-    stream->sendAll(buf);
+    sendBytes(*stream, buf);
   });
   auto client = tcpConnect("127.0.0.1", listener.port());
-  client->sendAll(bytes({1, 2, 3, 4, 5}));
+  sendBytes(*client, bytes({1, 2, 3, 4, 5}));
   std::uint8_t echo[5];
   client->recvAll(echo);
   server_side.get();
@@ -272,7 +273,7 @@ TEST(Tcp, RecvCounterOmitsBytesNeverReceived) {
   TcpListener listener(0);
   auto server_side = std::async(std::launch::async, [&] {
     auto stream = listener.accept();
-    stream->sendAll(bytes({7, 8, 9}));
+    sendBytes(*stream, bytes({7, 8, 9}));
     stream->close();
   });
   auto client = tcpConnect("127.0.0.1", listener.port());

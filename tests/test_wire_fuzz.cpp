@@ -14,6 +14,7 @@
 #include "idl/parser.h"
 #include "protocol/call_marshal.h"
 #include "protocol/message.h"
+#include "stream_send.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
 
@@ -77,7 +78,7 @@ void decodeRequestStreamed(std::span<const std::uint8_t> payload,
   auto [a, b] = transport::inprocPair();
   std::thread sender([&, stream = a.get()] {
     try {
-      stream->sendAll(payload);
+      sendBytes(*stream, payload);
       stream->shutdownSend();
     } catch (const Error&) {
       // Receiver bailed early; fine.

@@ -199,18 +199,6 @@ class Parser {
       if (t.isIdent()) {
         if (t.text == "NINF_REACTOR_CONTEXT") reactor = true;
         if (t.text == "NINF_BLOCKING") blocking = true;
-        if (t.text == "operator") {
-          // operator name: fold the symbol tokens into the name.
-          name = "operator";
-          name_line = t.line;
-          ++i;
-          while (i < end && !tok(i).is("(")) name += tok(i++).text;
-          if (name == "operator" && tok(i).is("(")) {
-            name = "operator()";  // operator()(...) — fold the first pair
-            i = matchBracket(toks_, i) + 1;
-          }
-          continue;
-        }
         // Start (or continue) an identifier sequence.
         name = t.text;
         name_line = t.line;
@@ -219,6 +207,16 @@ class Parser {
           name += "::" + tok(i + 1).text;
           name_line = tok(i + 1).line;
           i += 2;
+        }
+        if (lastComponent(name) == "operator") {
+          // operator name, qualified or not: fold the symbol tokens into
+          // the name, so "operator=(" is not read as an initializer.
+          while (i < end && !tok(i).is("(")) name += tok(i++).text;
+          if (lastComponent(name) == "operator" && tok(i).is("(")) {
+            name += "()";  // operator()(...) — fold the first pair
+            i = matchBracket(toks_, i) + 1;
+          }
+          continue;
         }
         if (tok(i).is("<")) i = skipAngles(toks_, i);
         continue;

@@ -88,6 +88,20 @@ TEST(CodecSymmetry, CleanOnSymmetricCodecs) {
   EXPECT_TRUE(diags.empty()) << diags.front().message;
 }
 
+TEST(CodecSymmetry, FlagsDroppedOptionalWordAfterQualifiedOperator) {
+  const auto diags =
+      run("codec_symmetry_optional_pos.cpp", "codec-symmetry");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].message.find("Ack::encode"), std::string::npos);
+  EXPECT_NE(diags[0].message.find("extra 'u32'"), std::string::npos);
+}
+
+TEST(CodecSymmetry, CleanOnMatchingOptionalWord) {
+  const auto diags =
+      run("codec_symmetry_optional_neg.cpp", "codec-symmetry");
+  EXPECT_TRUE(diags.empty()) << diags.front().message;
+}
+
 TEST(CodecSymmetry, HonorsAuditedSuppression) {
   const auto diags = run("codec_symmetry_suppressed.cpp", "codec-symmetry");
   EXPECT_TRUE(diags.empty()) << diags.front().message;
