@@ -28,8 +28,8 @@ void bumpInflight(long delta) {
 
 }  // namespace
 
-Channel::Channel(std::unique_ptr<transport::Stream> stream, bool force_v1)
-    : stream_(std::move(stream)), force_v1_(force_v1) {
+Channel::Channel(std::unique_ptr<transport::Stream> stream)
+    : stream_(std::move(stream)) {
   NINF_REQUIRE(stream_ != nullptr, "null stream");
   wire_ = stream_.get();
 }
@@ -93,7 +93,6 @@ void Channel::teardownLocked() {
   // out, so close without send_mutex_ is safe.
   if (stream_) stream_->close();
   if (reader_.joinable()) reader_.join();
-  negotiated_features_.store(0, std::memory_order_release);
   failAllPending(std::make_exception_ptr(
       TransportError("channel torn down with calls in flight")));
   {
@@ -131,21 +130,16 @@ void Channel::ensureReadyLocked(
     mode_.reset();
   }
   if (mode_) return;
-  if (force_v1_) {
-    mode_ = WireMode::V1;
-    return;
-  }
   negotiateLocked(deadline);
 }
 
 void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
-  // Advertise extensions only when one would be used: trace context
-  // follows the tracer, extra bits (sharding) follow requestFeatures().
-  // A client wanting neither keeps the byte-identical pre-extension
-  // Hello, so peers that predate the feature word see no change.
-  std::uint32_t want = requested_features_.load(std::memory_order_relaxed) &
-                       protocol::kKnownFeatures;
-  if (obs::Tracer::instance().enabled()) want |= protocol::kFeatureTraceContext;
+  // Advertise trace context only when the tracer would use it; otherwise
+  // the Hello stays byte-identical to a pre-extension one, so peers that
+  // predate the feature word see no change.
+  const std::uint32_t want = obs::Tracer::instance().enabled()
+                                 ? protocol::kFeatureTraceContext
+                                 : 0;
   protocol::Hello hello;
   if (want != 0) hello.features = want;
   // No reader thread exists yet, so the stream deadline is safe here and
@@ -164,9 +158,8 @@ void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
     xdr::Decoder dec(reply.payload);
     const protocol::HelloAck ack = protocol::HelloAck::decode(dec);
     // A peer can never grant a bit we did not ask for.
-    const std::uint32_t features = ack.features.value_or(0) & want;
-    negotiated_features_.store(features, std::memory_order_release);
-    mode_ = protocol::wireModeFor(ack.version, features);
+    mode_ = protocol::wireModeFor(ack.version,
+                                  ack.features.value_or(0) & want);
   } catch (...) {
     // Reset, stall or a reply that is no HelloAck: the wire is in an
     // unknown state, so the handshake fails like any other send, with

@@ -12,9 +12,9 @@
 //    concurrent in-flight calls as the server has workers.  Small
 //    request frames group-commit (sendV2Batched): a caller never waits
 //    for another caller's writev, only for its own reply.
-//  * v1 (the peer agreed on version 1, as a metaserver node does, or
-//    force_v1): the classic lock-step exchange, one call at a time,
-//    serialized on the channel.
+//  * v1 (the peer agreed on version 1, as a metaserver node does): the
+//    classic lock-step exchange, one call at a time, serialized on the
+//    channel.
 //
 // The negotiated protocol::WireMode is the only thing that selects a
 // frame layout: every frame goes out through protocol::sendFrame (or a
@@ -78,10 +78,8 @@ class Channel {
   /// without harming the connection.
   using Consumer = std::function<void(const Reply&, xdr::Source&)>;
 
-  /// Adopt an established stream.  force_v1 skips negotiation entirely
-  /// (a protocol-v1 client; also handy for interop tests).
-  explicit Channel(std::unique_ptr<transport::Stream> stream,
-                   bool force_v1 = false);
+  /// Adopt an established stream; its first exchange negotiates.
+  explicit Channel(std::unique_ptr<transport::Stream> stream);
   ~Channel();
 
   Channel(const Channel&) = delete;
@@ -157,21 +155,6 @@ class Channel {
   /// (40-byte traced v2 frames in both directions).  Only possible when
   /// the tracer was enabled at negotiation time.
   bool tracePropagationNegotiated() const;
-
-  /// Advertise extra feature bits (protocol::kFeature*) in the next
-  /// Hello, beyond the trace-context bit (which follows the tracer).
-  /// Set before the first exchange; bits the peer does not echo are
-  /// simply off.
-  void requestFeatures(std::uint32_t bits) {
-    requested_features_.fetch_or(bits, std::memory_order_relaxed);
-  }
-
-  /// Feature bitmask the peer echoed in HelloAck — always a subset of
-  /// what we advertised.  0 before the first exchange, on a
-  /// pre-extension peer, and on forced-v1 connections.
-  std::uint32_t negotiatedFeatures() const {
-    return negotiated_features_.load(std::memory_order_acquire);
-  }
 
   /// Diagnostic peer description of the current connection.
   std::string peerName() const;
@@ -264,9 +247,6 @@ class Channel {
   /// Frame layout negotiated on stream_; empty until its first
   /// exchange negotiates.
   std::optional<protocol::WireMode> mode_ NINF_GUARDED_BY(setup_mutex_);
-  bool force_v1_ = false;  // immutable after construction
-  std::atomic<std::uint32_t> requested_features_{0};
-  std::atomic<std::uint32_t> negotiated_features_{0};
   std::atomic<bool> broken_{false};
   std::atomic<double> mid_reply_grace_s_{0.25};
 

@@ -46,9 +46,8 @@ void requireType(MessageType got, MessageType expected) {
 
 }  // namespace
 
-NinfClient::NinfClient(std::unique_ptr<transport::Stream> stream,
-                       bool force_v1)
-    : channel_(std::make_unique<Channel>(std::move(stream), force_v1)) {}
+NinfClient::NinfClient(std::unique_ptr<transport::Stream> stream)
+    : channel_(std::make_unique<Channel>(std::move(stream))) {}
 
 std::unique_ptr<NinfClient> NinfClient::connectTcp(const std::string& host,
                                                    std::uint16_t port,
@@ -413,19 +412,11 @@ Reply controlExchange(Channel& channel, MessageType type,
 
 }  // namespace
 
-protocol::RingDescriptor NinfClient::ringInfo(std::uint64_t known_epoch,
-                                              double timeout_seconds) {
-  xdr::Encoder enc;
-  enc.putU64(known_epoch);
-  protocol::RingDescriptor ring;
-  channel_->transact(
-      MessageType::RingQuery, enc,
-      [&ring](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::RingInfo);
-        ring = protocol::RingDescriptor::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ring;
+protocol::RingDescriptor NinfClient::ringInfo(double timeout_seconds) {
+  return controlExchange(*channel_, MessageType::RingQuery, xdr::Encoder{},
+                         MessageType::RingInfo,
+                         &protocol::RingDescriptor::decode,
+                         deadlineIn(timeout_seconds));
 }
 
 protocol::ScheduleChoice NinfClient::scheduleQuery(
@@ -493,30 +484,18 @@ protocol::ReplAckMsg NinfClient::replAppend(const protocol::ReplAppendMsg& msg,
                                             double timeout_seconds) {
   xdr::Encoder enc;
   msg.encode(enc);
-  protocol::ReplAckMsg ack;
-  channel_->transact(
-      MessageType::ReplAppend, enc,
-      [&ack](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::ReplAck);
-        ack = protocol::ReplAckMsg::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ack;
+  return controlExchange(*channel_, MessageType::ReplAppend, enc,
+                         MessageType::ReplAck, &protocol::ReplAckMsg::decode,
+                         deadlineIn(timeout_seconds));
 }
 
 protocol::ReplAckMsg NinfClient::replHeartbeat(
     const protocol::ReplHeartbeatMsg& msg, double timeout_seconds) {
   xdr::Encoder enc;
   msg.encode(enc);
-  protocol::ReplAckMsg ack;
-  channel_->transact(
-      MessageType::ReplHeartbeat, enc,
-      [&ack](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::ReplAck);
-        ack = protocol::ReplAckMsg::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ack;
+  return controlExchange(*channel_, MessageType::ReplHeartbeat, enc,
+                         MessageType::ReplAck, &protocol::ReplAckMsg::decode,
+                         deadlineIn(timeout_seconds));
 }
 
 void NinfClient::close() { channel_->close(); }

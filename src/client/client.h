@@ -47,13 +47,6 @@ struct CallResult {
 
   /// T_wait = T_dequeue - T_enqueue (paper, section 4.1).
   double waitTime() const { return server.waitTime(); }
-  /// Client-observed throughput over payload bytes, MB/s.
-  double throughputMBps() const {
-    return elapsed > 0
-               ? static_cast<double>(bytes_sent + bytes_received) / elapsed /
-                     1e6
-               : 0.0;
-  }
 };
 
 /// Handle of a two-phase (submit/fetch) call, section 5.1.
@@ -86,10 +79,9 @@ struct CallOptions {
 
 class NinfClient {
  public:
-  /// Adopt an established stream (TCP or inproc).  force_v1 skips the
-  /// Hello negotiation and speaks classic lock-step protocol v1.
-  explicit NinfClient(std::unique_ptr<transport::Stream> stream,
-                      bool force_v1 = false);
+  /// Adopt an established stream (TCP or inproc).  The first exchange
+  /// negotiates the protocol version with Hello.
+  explicit NinfClient(std::unique_ptr<transport::Stream> stream);
 
   /// Connect over TCP.  timeout_seconds > 0 bounds connection
   /// establishment; failures throw TransportError with the server's
@@ -176,14 +168,15 @@ class NinfClient {
       NINF_BLOCKING;
 
   // ---- sharded-metaserver control plane (node peers only) ----
-  // These speak the kFeatureSharding message types; call them against a
-  // metaserver node (the peer answers anything else with a dropped
-  // connection).  Every method takes an optional round-trip bound.
+  // These speak the metaserver node's message types (meta_wire.h); call
+  // them against a node (a compute server drops the connection).  Each
+  // runs as one lock-step exchange, since a node agrees on protocol
+  // version 1, and throws WrongShardError when the node answers with a
+  // WrongShard redirect.  Every method takes an optional round-trip
+  // bound.
 
-  /// Fetch the node's current ring view.  `known_epoch` is the ring
-  /// epoch the caller already holds (0 for none).
-  protocol::RingDescriptor ringInfo(std::uint64_t known_epoch = 0,
-                                    double timeout_seconds = 0.0);
+  /// Fetch the node's current ring view.
+  protocol::RingDescriptor ringInfo(double timeout_seconds = 0.0);
 
   /// Ask the owning shard primary to pick a computing server for
   /// `entry`; `excluded` names servers that already failed this call.

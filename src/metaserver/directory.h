@@ -100,9 +100,7 @@ class LocalDirectory {
 
   // ---- tuning (set before concurrent use) ----
   void setStatusFreshness(double seconds) { status_freshness_ = seconds; }
-  double statusFreshness() const { return status_freshness_; }
   void setPollTimeout(double seconds) { poll_timeout_ = seconds; }
-  double pollTimeout() const { return poll_timeout_; }
   /// Installs the endpoint->factory resolver used by apply().
   void setResolver(FactoryResolver resolver) {
     resolver_ = std::move(resolver);

@@ -54,27 +54,23 @@ class Metaserver : public client::CallDispatcher {
   /// `retries` failovers.  Servers that failed are skipped while any
   /// healthy alternative remains.
   void setMaxFailovers(std::size_t retries) { max_failovers_ = retries; }
-  std::size_t maxFailovers() const { return max_failovers_; }
 
   /// How long a server that just failed a dispatch is shunned by the
   /// scheduling policies.  A cooling server is only picked when every
   /// alternative is excluded too, so a flapping server cannot be
   /// re-picked attempt after attempt.  0 disables the cooldown.
   void setServerCooldown(double seconds) { cooldown_seconds_ = seconds; }
-  double serverCooldown() const { return cooldown_seconds_; }
 
   /// Scheduling reuses a polled server status younger than this instead
   /// of polling again (0 polls on every decision).  Explicit poll() and
   /// the monitoring loop always hit the wire and refill the cache.
   void setStatusFreshness(double seconds) { dir_.setStatusFreshness(seconds); }
-  double statusFreshness() const { return dir_.statusFreshness(); }
 
   /// Wall-clock bound on each monitor-channel round-trip (status poll,
   /// interface query).  A server that cannot answer within the budget
   /// is treated as unreachable for the round rather than stalling the
   /// dispatch that polled it.  <= 0 removes the bound (not advised).
   void setPollTimeout(double seconds) { dir_.setPollTimeout(seconds); }
-  double pollTimeout() const { return dir_.pollTimeout(); }
 
   void addServer(ServerEntry entry) { dir_.addServer(std::move(entry)); }
   std::size_t serverCount() const { return dir_.serverCount(); }
@@ -107,7 +103,7 @@ class Metaserver : public client::CallDispatcher {
   /// opts.deadline_seconds bounds the whole fault-tolerant execution
   /// (every attempt's wire I/O plus the backoff sleeps, which start at
   /// opts.backoff_seconds; TimeoutError on expiry), and opts.retries,
-  /// when non-zero, overrides maxFailovers() for this call.
+  /// when non-zero, overrides setMaxFailovers() for this call.
   client::CallResult dispatch(const std::string& name,
                               std::span<const protocol::ArgValue> args,
                               const client::CallOptions& opts) override;

@@ -22,6 +22,14 @@ double nowSeconds() {
       .count();
 }
 
+/// A reply body: one wire payload, encoded.
+template <typename Payload>
+xdr::Encoder encoded(const Payload& payload) {
+  xdr::Encoder enc;
+  payload.encode(enc);
+  return enc;
+}
+
 }  // namespace
 
 MetaserverNode::MetaserverNode(NodeOptions opts)
@@ -172,10 +180,9 @@ void MetaserverNode::promote() {
                  << " backup promoted to primary at epoch " << base + 1;
 }
 
-void MetaserverNode::sendWrongShard(transport::Stream& stream,
-                                    const std::string& entry,
-                                    std::uint32_t owner,
-                                    protocol::RedirectReason reason) {
+MetaserverNode::Reply MetaserverNode::wrongShard(
+    const std::string& entry, std::uint32_t owner,
+    protocol::RedirectReason reason) const {
   static obs::Counter& redirects = obs::counter("metaserver.shard.redirects");
   redirects.add();
   protocol::RedirectInfo info;
@@ -183,61 +190,15 @@ void MetaserverNode::sendWrongShard(transport::Stream& stream,
   info.owner_shard = owner;
   info.ring_epoch = HashRing::epochOf(ringView());
   info.reason = reason;
-  xdr::Encoder enc;
-  info.encode(enc);
-  protocol::sendFrame(stream, WireMode::V1, MessageType::WrongShard, enc);
+  return {MessageType::WrongShard, encoded(info)};
 }
 
 void MetaserverNode::serveConnection(transport::Stream& stream) {
   try {
     for (;;) {
       const protocol::Message msg = protocol::recvMessage(stream);
-      switch (msg.type) {
-        case MessageType::Hello: {
-          // Nodes speak v1 lock-step and serve the sharding control
-          // plane only; trace context would change the framing this
-          // loop expects.
-          xdr::Decoder dec(msg.payload);
-          const protocol::HelloAck ack =
-              protocol::answerHello(protocol::Hello::decode(dec),
-                                    protocol::kVersion,
-                                    protocol::kFeatureSharding);
-          xdr::Encoder enc;
-          ack.encode(enc);
-          protocol::sendFrame(stream, WireMode::V1, MessageType::HelloAck,
-                              enc);
-          break;
-        }
-        case MessageType::Ping:
-          protocol::sendFrame(stream, WireMode::V1, MessageType::Pong,
-                              msg.payload);
-          break;
-        case MessageType::RingQuery: {
-          const protocol::RingDescriptor view = ringView();
-          xdr::Encoder enc;
-          view.encode(enc);
-          protocol::sendFrame(stream, WireMode::V1, MessageType::RingInfo,
-                              enc);
-          break;
-        }
-        case MessageType::ScheduleQuery:
-          handleScheduleQuery(stream, msg.payload);
-          break;
-        case MessageType::RegisterServer:
-        case MessageType::DeregisterServer:
-          handleRegistryOp(stream, msg.payload);
-          break;
-        case MessageType::ReplAppend:
-          handleReplAppend(stream, msg.payload);
-          break;
-        case MessageType::ReplHeartbeat:
-          handleReplHeartbeat(stream, msg.payload);
-          break;
-        default:
-          throw ProtocolError(
-              "metaserver node got message type " +
-              std::to_string(static_cast<std::uint32_t>(msg.type)));
-      }
+      const Reply reply = frameReply(msg.type, msg.payload);
+      protocol::sendFrame(stream, WireMode::V1, reply.type, reply.body);
     }
   } catch (const TransportError&) {
     // Normal disconnect path.
@@ -247,20 +208,71 @@ void MetaserverNode::serveConnection(transport::Stream& stream) {
   }
 }
 
-void MetaserverNode::handleScheduleQuery(
-    transport::Stream& stream, std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
+MetaserverNode::Reply MetaserverNode::frameReply(
+    MessageType type, std::span<const std::uint8_t> body) {
+  xdr::Decoder dec(body);
+  switch (type) {
+    case MessageType::Hello:
+      // Nodes speak v1 lock-step and accept no feature bit: trace
+      // context would change the framing this loop expects.
+      return {MessageType::HelloAck,
+              encoded(protocol::answerHello(protocol::Hello::decode(dec),
+                                            protocol::kVersion, 0))};
+    case MessageType::Ping: {
+      xdr::Encoder echo;
+      echo.putRaw(body);
+      return {MessageType::Pong, std::move(echo)};
+    }
+    case MessageType::RingQuery:
+      // No body is defined; the cached ring epoch an older client still
+      // sends there is ignored.
+      return {MessageType::RingInfo, encoded(ringView())};
+    case MessageType::ScheduleQuery:
+      return scheduleReply(body);
+    case MessageType::RegisterServer:
+    case MessageType::DeregisterServer:
+      return registryReply(body);
+    case MessageType::ReplAppend: {
+      const protocol::ReplAppendMsg msg = protocol::ReplAppendMsg::decode(dec);
+      return replicatedReply(msg.shard_epoch, [&] {
+        try {
+          dir_.apply(msg.op);
+        } catch (const std::exception& e) {
+          // Replay divergence (e.g. no resolver): log loudly but keep the
+          // stream alive — dropping it would only re-deliver the same op.
+          NINF_LOG(Warn) << "replicated op " << msg.op.seq
+                         << " failed to apply: " << e.what();
+        }
+        std::uint64_t seen = applied_seq_.load(std::memory_order_acquire);
+        while (msg.op.seq > seen &&
+               !applied_seq_.compare_exchange_weak(
+                   seen, msg.op.seq, std::memory_order_acq_rel)) {
+        }
+      });
+    }
+    case MessageType::ReplHeartbeat: {
+      const protocol::ReplHeartbeatMsg msg =
+          protocol::ReplHeartbeatMsg::decode(dec);
+      return replicatedReply(msg.shard_epoch,
+                             [&] { dir_.adoptLiveness(msg.liveness); });
+    }
+    default:
+      throw ProtocolError("metaserver node got message type " +
+                          std::to_string(static_cast<std::uint32_t>(type)));
+  }
+}
+
+MetaserverNode::Reply MetaserverNode::scheduleReply(
+    std::span<const std::uint8_t> body) {
+  xdr::Decoder dec(body);
   const protocol::ScheduleRequest req = protocol::ScheduleRequest::decode(dec);
   const std::uint32_t owner = ownership_.ownerOf(req.entry);
   if (owner != opts_.shard_id) {
-    sendWrongShard(stream, req.entry, owner,
-                   protocol::RedirectReason::NotOwner);
-    return;
+    return wrongShard(req.entry, owner, protocol::RedirectReason::NotOwner);
   }
   if (!writable()) {
-    sendWrongShard(stream, req.entry, opts_.shard_id,
-                   protocol::RedirectReason::NotPrimary);
-    return;
+    return wrongShard(req.entry, opts_.shard_id,
+                      protocol::RedirectReason::NotPrimary);
   }
   static obs::Counter& queries = obs::counter("metaserver.shard.queries");
   queries.add();
@@ -282,118 +294,70 @@ void MetaserverNode::handleScheduleQuery(
     // included: over the wire the two look alike, and the client raises
     // the typed NotFoundError on its side.
   }
-  xdr::Encoder enc;
-  choice.encode(enc);
-  protocol::sendFrame(stream, WireMode::V1, MessageType::ScheduleReply, enc);
+  return {MessageType::ScheduleReply, encoded(choice)};
 }
 
-void MetaserverNode::handleRegistryOp(transport::Stream& stream,
-                                      std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
+MetaserverNode::Reply MetaserverNode::registryReply(
+    std::span<const std::uint8_t> body) {
+  xdr::Decoder dec(body);
   protocol::RegistryOp op = protocol::RegistryOp::decode(dec);
   // Every entry the server exports must belong to this shard; an empty
   // list (exports everything) is acceptable on any shard.
   for (const auto& entry : op.desc.entries) {
     const std::uint32_t owner = ownership_.ownerOf(entry);
     if (owner != opts_.shard_id) {
-      sendWrongShard(stream, entry, owner,
-                     protocol::RedirectReason::NotOwner);
-      return;
+      return wrongShard(entry, owner, protocol::RedirectReason::NotOwner);
     }
+  }
+  bool refused = !writable();
+  if (refused && !fenced_.load(std::memory_order_acquire)) {
+    // A live backup: the shard is fine, the client just picked the
+    // wrong role.
+    return wrongShard(
+        op.desc.entries.empty() ? op.desc.name : op.desc.entries.front(),
+        opts_.shard_id, protocol::RedirectReason::NotPrimary);
   }
   protocol::RegisterResult result;
   result.shard_epoch = epoch_.load(std::memory_order_acquire);
-  if (!writable()) {
-    if (fenced_.load(std::memory_order_acquire)) {
-      static obs::Counter& fenced_writes =
-          obs::counter("metaserver.replication.fenced_writes");
-      fenced_writes.add();
-      result.status = protocol::RegisterResult::Status::Fenced;
-      xdr::Encoder enc;
-      result.encode(enc);
-      protocol::sendFrame(stream, WireMode::V1, MessageType::RegisterAck, enc);
-    } else {
-      // A live backup: the shard is fine, the client just picked the
-      // wrong role.
-      sendWrongShard(stream,
-                     op.desc.entries.empty() ? op.desc.name
-                                             : op.desc.entries.front(),
-                     opts_.shard_id, protocol::RedirectReason::NotPrimary);
+  if (!refused) {
+    try {
+      op.seq = repl_ ? repl_->append(op)
+                     : local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+      result.status = dir_.apply(op);
+      result.seq = op.seq;
+    } catch (const FencedError&) {
+      refused = true;  // the link fenced since writable() was read
     }
-    return;
   }
-  try {
-    op.seq = repl_ ? repl_->append(op)
-                   : local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    result.status = dir_.apply(op);
-    result.seq = op.seq;
-  } catch (const FencedError&) {
+  if (refused) {
     static obs::Counter& fenced_writes =
         obs::counter("metaserver.replication.fenced_writes");
     fenced_writes.add();
     result.status = protocol::RegisterResult::Status::Fenced;
   }
-  xdr::Encoder enc;
-  result.encode(enc);
-  protocol::sendFrame(stream, WireMode::V1, MessageType::RegisterAck, enc);
+  return {MessageType::RegisterAck, encoded(result)};
 }
 
-void MetaserverNode::handleReplAppend(transport::Stream& stream,
-                                      std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
-  const protocol::ReplAppendMsg msg = protocol::ReplAppendMsg::decode(dec);
+MetaserverNode::Reply MetaserverNode::replicatedReply(
+    std::uint64_t sender_epoch, const std::function<void()>& apply) {
   protocol::ReplAckMsg ack;
   const std::uint64_t mine = epoch_.load(std::memory_order_acquire);
   const bool primary = primary_.load(std::memory_order_acquire);
-  if (msg.shard_epoch < mine || (primary && msg.shard_epoch <= mine)) {
+  if (sender_epoch < mine || (primary && sender_epoch <= mine)) {
     // The sender is a deposed primary: refuse, and tell it our epoch so
     // it fences itself.
     ack.status = protocol::ReplAckMsg::Status::StaleEpoch;
     ack.shard_epoch = mine;
   } else {
-    epoch_.store(msg.shard_epoch, std::memory_order_release);
-    seen_epoch_.store(msg.shard_epoch, std::memory_order_release);
+    epoch_.store(sender_epoch, std::memory_order_release);
+    seen_epoch_.store(sender_epoch, std::memory_order_release);
     last_heartbeat_.store(nowSeconds(), std::memory_order_release);
-    try {
-      dir_.apply(msg.op);
-    } catch (const std::exception& e) {
-      // Replay divergence (e.g. no resolver): log loudly but keep the
-      // stream alive — dropping it would only re-deliver the same op.
-      NINF_LOG(Warn) << "replicated op " << msg.op.seq
-                     << " failed to apply: " << e.what();
-    }
+    apply();
     ack.status = protocol::ReplAckMsg::Status::Ok;
-    ack.seq = msg.op.seq;
-    ack.shard_epoch = msg.shard_epoch;
+    ack.seq = applied_seq_.load(std::memory_order_acquire);
+    ack.shard_epoch = sender_epoch;
   }
-  xdr::Encoder enc;
-  ack.encode(enc);
-  protocol::sendFrame(stream, WireMode::V1, MessageType::ReplAck, enc);
-}
-
-void MetaserverNode::handleReplHeartbeat(
-    transport::Stream& stream, std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
-  const protocol::ReplHeartbeatMsg msg =
-      protocol::ReplHeartbeatMsg::decode(dec);
-  protocol::ReplAckMsg ack;
-  const std::uint64_t mine = epoch_.load(std::memory_order_acquire);
-  const bool primary = primary_.load(std::memory_order_acquire);
-  if (msg.shard_epoch < mine || (primary && msg.shard_epoch <= mine)) {
-    ack.status = protocol::ReplAckMsg::Status::StaleEpoch;
-    ack.shard_epoch = mine;
-  } else {
-    epoch_.store(msg.shard_epoch, std::memory_order_release);
-    seen_epoch_.store(msg.shard_epoch, std::memory_order_release);
-    last_heartbeat_.store(nowSeconds(), std::memory_order_release);
-    dir_.adoptLiveness(msg.liveness);
-    ack.status = protocol::ReplAckMsg::Status::Ok;
-    ack.seq = msg.last_seq;
-    ack.shard_epoch = msg.shard_epoch;
-  }
-  xdr::Encoder enc;
-  ack.encode(enc);
-  protocol::sendFrame(stream, WireMode::V1, MessageType::ReplAck, enc);
+  return {MessageType::ReplAck, encoded(ack)};
 }
 
 }  // namespace ninf::metaserver

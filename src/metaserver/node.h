@@ -8,11 +8,12 @@
 // its current ring view's epoch so the client knows whether its cached
 // ring is stale.
 //
-// Protocol: nodes speak v1 lock-step framing and negotiate only the
-// kFeatureSharding bit — HelloAck answers agreed version 1 and echoes
-// the sharding bit to feature-aware clients, so the session layer stays
-// byte-identical for everyone else and no v2 demux machinery is needed
-// on the control plane.
+// Protocol: nodes speak v1 lock-step framing.  HelloAck agrees on
+// version 1 and accepts no feature bit, so a client's channel keeps its
+// lock-step path and no v2 demux machinery runs on the control plane.
+// Every request frame is answered by one function, frameReply(type,
+// body), shaped like NinfServer::controlReply: it returns the reply's
+// type and body, and the connection loop sends it.
 //
 // Roles and fencing:
 //  * primary  — serves schedules and registrations, ships every registry
@@ -32,15 +33,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "metaserver/directory.h"
 #include "metaserver/replication.h"
 #include "metaserver/ring.h"
+#include "protocol/message.h"
 #include "transport/transport.h"
+#include "xdr/xdr.h"
 
 namespace ninf::metaserver {
 
@@ -98,7 +103,6 @@ class MetaserverNode {
   std::uint64_t shardEpoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
-  std::uint32_t shardId() const { return opts_.shard_id; }
 
   /// Current ring view: the configured membership with this node's own
   /// shard patched to its live epoch and role.
@@ -109,17 +113,28 @@ class MetaserverNode {
   ReplicationLink* replication() { return repl_.get(); }
 
  private:
+  /// One reply frame: its type and encoded body.
+  struct Reply {
+    protocol::MessageType type;
+    xdr::Encoder body;
+  };
+
   void serveConnection(transport::Stream& stream);
-  void handleScheduleQuery(transport::Stream& stream,
-                           std::span<const std::uint8_t> payload);
-  void handleRegistryOp(transport::Stream& stream,
-                        std::span<const std::uint8_t> payload);
-  void handleReplAppend(transport::Stream& stream,
-                        std::span<const std::uint8_t> payload);
-  void handleReplHeartbeat(transport::Stream& stream,
-                           std::span<const std::uint8_t> payload);
-  void sendWrongShard(transport::Stream& stream, const std::string& entry,
-                      std::uint32_t owner, protocol::RedirectReason reason);
+  /// The reply to one request frame, framing-agnostic.  Throws
+  /// ProtocolError on a type the node does not serve.
+  Reply frameReply(protocol::MessageType type,
+                   std::span<const std::uint8_t> body);
+  Reply scheduleReply(std::span<const std::uint8_t> body);
+  Reply registryReply(std::span<const std::uint8_t> body);
+  /// The ReplAck to a replicated frame stamped `sender_epoch`.  The
+  /// epoch fence answers a deposed primary StaleEpoch with this node's
+  /// epoch; otherwise the sender's epoch is adopted, the frame counts as
+  /// a heartbeat, `apply` runs, and the ack carries the highest op seq
+  /// applied here.
+  Reply replicatedReply(std::uint64_t sender_epoch,
+                        const std::function<void()>& apply);
+  Reply wrongShard(const std::string& entry, std::uint32_t owner,
+                   protocol::RedirectReason reason) const;
   /// True when this node may apply writes right now.
   bool writable() const {
     return primary_.load(std::memory_order_acquire) &&
@@ -139,6 +154,11 @@ class MetaserverNode {
   std::atomic<std::uint64_t> seen_epoch_{0};
   /// Last heartbeat arrival, steady seconds (backup side).
   std::atomic<double> last_heartbeat_{0.0};
+  /// Highest op seq taken from the replicated stream (backup side), a
+  /// replay that failed to apply included, as its ack says; every
+  /// ReplAck reports it, so the primary's lag counts what the backup
+  /// holds.
+  std::atomic<std::uint64_t> applied_seq_{0};
   /// Local op log cursor on unreplicated shards (the link owns it
   /// otherwise).
   std::atomic<std::uint64_t> local_seq_{0};

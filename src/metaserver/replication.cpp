@@ -1,5 +1,6 @@
 #include "metaserver/replication.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -75,21 +76,6 @@ std::uint64_t ReplicationLink::append(protocol::RegistryOp op) {
   return seq;
 }
 
-std::uint64_t ReplicationLink::lastAppended() const {
-  LockGuard lock(mutex_);
-  return next_seq_;
-}
-
-std::uint64_t ReplicationLink::lastAcked() const {
-  LockGuard lock(mutex_);
-  return last_acked_;
-}
-
-bool ReplicationLink::fenced() const {
-  LockGuard lock(mutex_);
-  return fenced_;
-}
-
 void ReplicationLink::setPaused(bool paused) {
   {
     LockGuard lock(mutex_);
@@ -116,7 +102,9 @@ bool ReplicationLink::handleAck(const protocol::ReplAckMsg& ack) {
   std::uint64_t lag;
   {
     LockGuard lock(mutex_);
-    if (ack.seq > last_acked_) last_acked_ = ack.seq;
+    // A backup still holding a longer log from an earlier primary acks
+    // past this log's head; only this log's ops count.
+    last_acked_ = std::max(last_acked_, std::min(ack.seq, next_seq_));
     lag = next_seq_ - last_acked_;
   }
   lagGauge().set(static_cast<double>(lag));
@@ -168,7 +156,6 @@ void ReplicationLink::shipperLoop() {
       } else if (do_heartbeat) {
         protocol::ReplHeartbeatMsg hb;
         hb.shard_epoch = shard_epoch_;
-        hb.last_seq = lastAppended();
         if (liveness_) hb.liveness = liveness_();
         const auto ack = backup->replHeartbeat(hb, kIoTimeoutSeconds);
         if (!handleAck(ack)) continue;

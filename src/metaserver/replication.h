@@ -8,6 +8,9 @@
 // the client as soon as the op is applied locally and queued — the log
 // preserves order, the backup replays it verbatim, and idempotent ops
 // (directory.h) make duplicate delivery after a reconnect harmless.
+// Every ack, to an append or a heartbeat, reports the highest op seq the
+// backup has applied, so the metaserver.replication.lag gauge (ops
+// appended here minus that) counts ops still queued or in flight.
 //
 // Fencing: every frame carries the primary's shard epoch.  A backup that
 // promoted itself (missed heartbeats) bumped its epoch, so the deposed
@@ -62,11 +65,6 @@ class ReplicationLink {
   /// and return the seq.  Throws FencedError once the link is fenced.
   std::uint64_t append(protocol::RegistryOp op);
 
-  std::uint64_t lastAppended() const;
-  /// Highest seq the backup has acked.
-  std::uint64_t lastAcked() const;
-  bool fenced() const;
-
   /// Test/chaos hook: a paused link ships nothing (ops queue up, no
   /// heartbeats), simulating a partition between primary and backup.
   void setPaused(bool paused);
@@ -83,6 +81,7 @@ class ReplicationLink {
   CondVar cv_;
   std::deque<protocol::RegistryOp> queue_ NINF_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ NINF_GUARDED_BY(mutex_) = 0;
+  /// Highest seq the backup reported applied (every ReplAck carries it).
   std::uint64_t last_acked_ NINF_GUARDED_BY(mutex_) = 0;
   bool paused_ NINF_GUARDED_BY(mutex_) = false;
   bool fenced_ NINF_GUARDED_BY(mutex_) = false;

@@ -40,7 +40,6 @@ class HashRing {
   explicit HashRing(protocol::RingDescriptor desc);
 
   bool empty() const { return desc_.shards.empty(); }
-  std::size_t shardCount() const { return desc_.shards.size(); }
   std::uint64_t epoch() const { return desc_.ring_epoch; }
   const protocol::RingDescriptor& descriptor() const { return desc_; }
 

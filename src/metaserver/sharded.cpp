@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "metaserver/failover.h"
-#include "protocol/message.h"
 
 namespace ninf::metaserver {
 
@@ -51,9 +50,6 @@ std::unique_ptr<client::NinfClient> ShardedMetaserver::dialNode(
     const std::string& endpoint) {
   auto node = opts_.node_dialer(endpoint);
   NINF_REQUIRE(node != nullptr, "node dialer returned null");
-  // Ask for the sharding feature bit up front, before the channel's
-  // first Hello; nodes echo it, plain servers ignore it.
-  node->channel().requestFeatures(protocol::kFeatureSharding);
   return node;
 }
 
@@ -72,7 +68,7 @@ void ShardedMetaserver::refreshRing() {
     protocol::RingDescriptor view;
     try {
       auto node = dialNode(seed);
-      view = node->ringInfo(ringEpoch(), kControlTimeoutSeconds);
+      view = node->ringInfo(kControlTimeoutSeconds);
     } catch (const Error& e) {
       NINF_LOG(Debug) << "ring refresh: seed " << seed
                       << " unreachable: " << e.what();

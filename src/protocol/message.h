@@ -67,19 +67,11 @@ inline constexpr std::uint32_t kMaxVersion = kVersion2;
 inline constexpr std::size_t kHeaderBytes = 16;
 inline constexpr std::size_t kHeaderBytesV2 = 24;
 inline constexpr std::size_t kHeaderBytesV2Traced = 40;
-/// Feature bits carried in the optional Hello/HelloAck bitmask word.
+/// The one feature bit of the optional Hello/HelloAck bitmask word.  A
+/// service accepts only the bits it serves and ignores the rest.  Bit
+/// 0x2 is retired: peers built earlier may still set it, so it must not
+/// take a new meaning.
 inline constexpr std::uint32_t kFeatureTraceContext = 1u << 0;
-/// Peer serves the sharded-metaserver control plane (RingQuery/RingInfo,
-/// ScheduleQuery, registration, replication).  Unlike kFeatureTraceContext
-/// it never changes framing — it only licenses the new message types — so
-/// peers that do not negotiate it see byte-identical connections.
-inline constexpr std::uint32_t kFeatureSharding = 1u << 1;
-/// Bits this build understands; unknown bits from a peer are ignored.
-/// Individual services echo only the subset they implement (a compute
-/// server accepts trace context but not sharding; a metaserver node the
-/// reverse).
-inline constexpr std::uint32_t kKnownFeatures =
-    kFeatureTraceContext | kFeatureSharding;
 /// Guard against hostile/corrupt length fields (256 MiB).
 inline constexpr std::uint32_t kMaxPayload = 256u << 20;
 /// Declared bodies whose slabs the FrameAssemblers of one process may
@@ -103,9 +95,9 @@ enum class MessageType : std::uint32_t {
   Pong = 14,            // payload: opaque echo data
   Hello = 15,           // payload: u32 highest version the client speaks
   HelloAck = 16,        // payload: u32 agreed version
-  // Sharded-metaserver control plane (gated by kFeatureSharding; see
+  // Sharded-metaserver control plane, served by metaserver nodes (see
   // protocol/meta_wire.h for the payload codecs).
-  RingQuery = 17,        // payload: u64 ring epoch the client already has
+  RingQuery = 17,        // payload: empty
   RingInfo = 18,         // payload: ring epoch + per-shard membership
   WrongShard = 19,       // payload: entry, owner shard, epoch, reason
   ScheduleQuery = 20,    // payload: entry name + excluded server names
@@ -115,7 +107,7 @@ enum class MessageType : std::uint32_t {
   DeregisterServer = 24, // payload: endpoint + registration epoch
   ReplAppend = 25,       // payload: shard epoch + seq-numbered registry op
   ReplAck = 26,          // payload: status, acked seq, replica's epoch
-  ReplHeartbeat = 27,    // payload: shard epoch, last seq, liveness digest
+  ReplHeartbeat = 27,    // payload: shard epoch, liveness digest
 };
 
 /// Highest wire-valid message type (header validation bound).

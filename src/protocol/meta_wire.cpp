@@ -161,7 +161,7 @@ void RegisterResult::encode(xdr::Encoder& enc) const {
 RegisterResult RegisterResult::decode(xdr::Source& src) {
   RegisterResult result;
   const std::uint32_t status = src.getU32();
-  if (status > static_cast<std::uint32_t>(Status::WrongShard)) {
+  if (status > static_cast<std::uint32_t>(Status::Fenced)) {
     throw ProtocolError("unknown register status " + std::to_string(status));
   }
   result.status = static_cast<Status>(status);
@@ -220,7 +220,6 @@ LivenessRecord LivenessRecord::decode(xdr::Source& src) {
 
 void ReplHeartbeatMsg::encode(xdr::Encoder& enc) const {
   enc.putU64(shard_epoch);
-  enc.putU64(last_seq);
   enc.putU32(static_cast<std::uint32_t>(liveness.size()));
   for (const auto& rec : liveness) rec.encode(enc);
 }
@@ -228,7 +227,6 @@ void ReplHeartbeatMsg::encode(xdr::Encoder& enc) const {
 ReplHeartbeatMsg ReplHeartbeatMsg::decode(xdr::Source& src) {
   ReplHeartbeatMsg msg;
   msg.shard_epoch = src.getU64();
-  msg.last_seq = src.getU64();
   const std::uint32_t n = checkedCount(src, "liveness record");
   msg.liveness.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

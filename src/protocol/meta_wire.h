@@ -9,10 +9,11 @@
 // the metaserver library (nodes, replication) speak them, and protocol
 // is below both.
 //
-// Message flows (all v1-framed, lock-step; licensed by kFeatureSharding):
+// Message flows (all v1-framed, lock-step: a node's HelloAck agrees on
+// version 1 and accepts no feature bit):
 //
 //   client                          metaserver node
-//     | -- RingQuery(known epoch) ----> |
+//     | -- RingQuery() --------------> |
 //     | <-- RingInfo(ring) ------------ |   (cached; refreshed on redirect)
 //     | -- ScheduleQuery(entry, excl) > |
 //     | <-- ScheduleReply(server) ----- |   (then call the server directly)
@@ -25,7 +26,10 @@
 //   shard primary                   shard backup
 //     | -- ReplAppend(epoch, seq, op) > |
 //     | <-- ReplAck(status, seq) ------ |   (StaleEpoch fences a deposed
-//     | -- ReplHeartbeat(epoch, ...) -> |    primary after a promotion)
+//     | -- ReplHeartbeat(epoch, ...) -> |    primary after a promotion;
+//     | <-- ReplAck(status, seq) ------ |    seq = highest op the backup
+//                                            applied; the primary
+//                                            computes lag from it)
 //
 // Epoch fencing: every shard carries a monotonically increasing epoch.
 // A backup that promotes itself bumps the epoch; appends and heartbeats
@@ -141,8 +145,7 @@ struct RegisterResult {
   enum class Status : std::uint32_t {
     Applied = 0,    ///< op applied (and queued for replication)
     Duplicate = 1,  ///< same (endpoint, reg_epoch) already applied
-    Fenced = 2,     ///< node is a backup or a deposed (fenced) primary
-    WrongShard = 3, ///< an entry in the descriptor belongs elsewhere
+    Fenced = 2,     ///< node is a deposed (fenced) primary
   };
   Status status = Status::Applied;
   std::uint64_t seq = 0;
@@ -187,10 +190,11 @@ struct LivenessRecord {
 };
 
 /// ReplHeartbeat payload: the failure-detector pulse plus the liveness
-/// digest.  Acked with ReplAckMsg (StaleEpoch after a promotion).
+/// digest.  Acked with ReplAckMsg (StaleEpoch after a promotion), whose
+/// seq is the highest op the backup applied: the primary computes its
+/// replication lag from it.
 struct ReplHeartbeatMsg {
   std::uint64_t shard_epoch = 0;
-  std::uint64_t last_seq = 0;  // log head; lets the backup report lag
   std::vector<LivenessRecord> liveness;
 
   void encode(xdr::Encoder& enc) const;

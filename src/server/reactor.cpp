@@ -251,10 +251,11 @@ void Reactor::handleConnEvent(Conn& conn, std::uint32_t events) {
   if (conn.read_open && (events & (EPOLLIN | EPOLLHUP))) {
     readReadable(conn);
   }
-  if ((events & EPOLLHUP) && !conn.read_open) {
-    // Hung up in both directions and every byte read: nothing can be
-    // delivered to the peer, and epoll would report the hang-up again on
-    // every wait for as long as a staged call computes.
+  if ((events & EPOLLHUP) && (!conn.read_open || conn.paused)) {
+    // Hung up in both directions, with every byte read or reads paused
+    // (admission budget, v1 hold): nothing can be delivered to the peer,
+    // and epoll would report the hang-up again on every wait for as long
+    // as a staged call computes or the pause lasts.
     killConn(conn);
     return;
   }

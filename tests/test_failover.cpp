@@ -37,6 +37,8 @@
 #include "reactor_probe.h"
 #include "server/server.h"
 #include "transport/tcp_transport.h"
+#include "v1_peer.h"
+#include "xdr/xdr.h"
 
 namespace ninf {
 namespace {
@@ -68,6 +70,25 @@ std::unique_ptr<NinfClient> dialEndpoint(const std::string& endpoint) {
       endpoint.substr(0, colon),
       static_cast<std::uint16_t>(std::stoi(endpoint.substr(colon + 1))),
       2.0);
+}
+
+/// Rebuilds a computing server's connection factory from its endpoint.
+metaserver::FactoryResolver dialResolver() {
+  return [](const std::string& endpoint) {
+    return client::ConnectionFactory(
+        [endpoint] { return dialEndpoint(endpoint); });
+  };
+}
+
+/// Options for one unreplicated node, alone in its ring, at `endpoint`.
+NodeOptions soloNode(const std::string& endpoint) {
+  NodeOptions opts;
+  protocol::ShardInfo shard;
+  shard.epoch = 1;
+  shard.primary_endpoint = endpoint;
+  opts.ring.shards.push_back(shard);
+  opts.self_endpoint = endpoint;
+  return opts;
 }
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
@@ -114,11 +135,7 @@ class ShardCluster {
       info.backup_endpoint = endpointOf(blisten.back()->port());
       ring.shards.push_back(info);
     }
-    const metaserver::FactoryResolver resolver =
-        [](const std::string& endpoint) {
-          return client::ConnectionFactory(
-              [endpoint] { return dialEndpoint(endpoint); });
-        };
+    const metaserver::FactoryResolver resolver = dialResolver();
     for (std::size_t i = 0; i < shard_count; ++i) {
       ShardNodes shard;
       shard.primary_endpoint = ring.shards[i].primary_endpoint;
@@ -244,6 +261,19 @@ TEST(ShardedMetaserverTest, RingBootstrapRoutesAndDispatches) {
   client.dispatch("ep", args, opts);
   EXPECT_NEAR(sums[0], expected.sx, 1e-9);
   EXPECT_NEAR(sums[1], expected.sy, 1e-9);
+
+  // The node connection the dispatch pooled agreed on version 1, which
+  // keeps the control plane on the client's lock-step path.
+  const std::string node =
+      cluster.shards_[client.ownerOf("ep")].primary_endpoint;
+  auto lease = client.nodePool().acquire(
+      node,
+      [&node] {
+        ADD_FAILURE() << "the dispatch pooled no connection to " << node;
+        return dialEndpoint(node);
+      },
+      client.ringEpoch());
+  EXPECT_EQ(lease->channel().negotiatedVersion(), protocol::kVersion);
 }
 
 TEST(ShardedMetaserverTest, UnknownEntryYieldsTypedNotFound) {
@@ -584,13 +614,7 @@ TEST(MetaserverNodeTest, FinishedConnectionThreadsAreReaped) {
   // so its threads and mapped stacks track its live connections.
   auto listener = std::make_shared<transport::TcpListener>(0);
   const std::string endpoint = endpointOf(listener->port());
-  NodeOptions opts;
-  protocol::ShardInfo shard;
-  shard.epoch = 1;
-  shard.primary_endpoint = endpoint;
-  opts.ring.shards.push_back(shard);
-  opts.self_endpoint = endpoint;
-  MetaserverNode node(std::move(opts));
+  MetaserverNode node(soloNode(endpoint));
   node.serve(listener);
   const int threads_before = processThreadCount();
 
@@ -600,14 +624,14 @@ TEST(MetaserverNodeTest, FinishedConnectionThreadsAreReaped) {
     std::vector<std::unique_ptr<NinfClient>> warm;
     for (int i = 0; i < 8; ++i) {
       warm.push_back(dialEndpoint(endpoint));
-      warm.back()->ringInfo(0, 2.0);
+      warm.back()->ringInfo(2.0);
     }
   }
-  dialEndpoint(endpoint)->ringInfo(0, 2.0);
+  dialEndpoint(endpoint)->ringInfo(2.0);
   const double vm_before = procStatusValue("VmSize:") * 1024.0;
   ASSERT_GT(vm_before, 0.0);
   for (int i = 0; i < 300; ++i) {
-    const auto ring = dialEndpoint(endpoint)->ringInfo(0, 2.0);
+    const auto ring = dialEndpoint(endpoint)->ringInfo(2.0);
     ASSERT_EQ(ring.shards.size(), 1u);
   }
   EXPECT_TRUE(eventually(kDeadlineSeconds, [&] {
@@ -618,6 +642,93 @@ TEST(MetaserverNodeTest, FinishedConnectionThreadsAreReaped) {
   const double rise = procStatusValue("VmSize:") * 1024.0 - vm_before;
   EXPECT_LT(rise, 128.0 * 1024 * 1024) << "VmSize rose by " << rise
                                        << " bytes";
+  node.stop();
+}
+
+TEST(MetaserverNodeTest, HeartbeatAckReportsTheSeqTheBackupApplied) {
+  // The primary's replication lag is its log head minus the seq the
+  // backup acks, so a heartbeat ack must carry what the backup applied.
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  const std::string endpoint = endpointOf(listener->port());
+  NodeOptions opts = soloNode(endpoint);
+  opts.primary = false;
+  opts.heartbeat_interval_s = 1.0;  // no promotion while the test runs
+  opts.resolver = dialResolver();
+  MetaserverNode backup(std::move(opts));
+  backup.serve(listener);
+
+  auto primary = dialEndpoint(endpoint);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    protocol::ReplAppendMsg append;
+    append.shard_epoch = 1;
+    append.op.desc.name = "server-" + std::to_string(seq);
+    append.op.desc.endpoint = endpointOf(static_cast<std::uint16_t>(seq));
+    append.op.reg_epoch = 1;
+    append.op.seq = seq;
+    ASSERT_EQ(primary->replAppend(append, 2.0).status,
+              protocol::ReplAckMsg::Status::Ok);
+  }
+  EXPECT_EQ(backup.directory().serverCount(), 3u);
+
+  protocol::ReplHeartbeatMsg heartbeat;
+  heartbeat.shard_epoch = 1;
+  const protocol::ReplAckMsg ack = primary->replHeartbeat(heartbeat, 2.0);
+  EXPECT_EQ(ack.status, protocol::ReplAckMsg::Status::Ok);
+  EXPECT_EQ(ack.seq, 3u);
+
+  // A fresh primary, whose log is empty, heartbeats the same backup:
+  // the acked 3 lies past its log head, so its lag reads 0, not a
+  // wrapped difference.
+  obs::Gauge& lag = obs::gauge("metaserver.replication.lag");
+  lag.set(-1.0);
+  auto fresh_listener = std::make_shared<transport::TcpListener>(0);
+  NodeOptions fresh_opts = soloNode(endpointOf(fresh_listener->port()));
+  fresh_opts.heartbeat_interval_s = kHeartbeat;
+  fresh_opts.backup_factory = [endpoint] { return dialEndpoint(endpoint); };
+  MetaserverNode fresh(std::move(fresh_opts));
+  fresh.serve(fresh_listener);
+  ASSERT_TRUE(eventually(kDeadlineSeconds, [&] { return lag.value() >= 0; }))
+      << "no heartbeat ack reached the fresh primary";
+  EXPECT_EQ(lag.value(), 0.0);
+  fresh.stop();
+  backup.stop();
+}
+
+TEST(MetaserverNodeTest, ServesAClientThatStillSendsTheRetiredShardingBit) {
+  // A client built while feature bit 0x2 licensed the control plane asks
+  // for it in Hello and sends its cached ring epoch with RingQuery.  The
+  // node ignores both: the bit like any unknown bit, the word because a
+  // RingQuery body carries nothing.
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  const std::string endpoint = endpointOf(listener->port());
+  MetaserverNode node(soloNode(endpoint));
+  node.serve(listener);
+  V1Peer old_client(transport::tcpConnect("127.0.0.1", listener->port()));
+
+  xdr::Encoder hello;
+  protocol::Hello{protocol::kVersion2, 0x2}.encode(hello);
+  protocol::HelloAck ack;
+  old_client.exchange(
+      protocol::MessageType::Hello, hello,
+      [&](const protocol::FrameHeader& reply, xdr::Source& src) {
+        ASSERT_EQ(reply.type, protocol::MessageType::HelloAck);
+        ack = protocol::HelloAck::decode(src);
+      });
+  EXPECT_EQ(ack.version, protocol::kVersion);
+  EXPECT_EQ(ack.features, std::optional<std::uint32_t>(0));
+
+  xdr::Encoder ring_query;
+  ring_query.putU64(2);
+  protocol::RingDescriptor ring;
+  old_client.exchange(
+      protocol::MessageType::RingQuery, ring_query,
+      [&](const protocol::FrameHeader& reply, xdr::Source& src) {
+        ASSERT_EQ(reply.type, protocol::MessageType::RingInfo);
+        ring = protocol::RingDescriptor::decode(src);
+      });
+  ASSERT_EQ(ring.shards.size(), 1u);
+  EXPECT_EQ(ring.shards[0].primary_endpoint, endpoint);
+  old_client.close();
   node.stop();
 }
 

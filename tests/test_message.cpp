@@ -1,5 +1,6 @@
-// Protocol framing over an in-process transport, and incremental frame
-// reassembly (FrameAssembler) with in-place body reception.
+// Protocol framing over an in-process transport, incremental frame
+// reassembly (FrameAssembler) with in-place body reception, and payload
+// codecs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "common/error.h"
 #include "protocol/message.h"
+#include "protocol/meta_wire.h"
 #include "stream_send.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
@@ -487,6 +489,32 @@ TEST(ServerStatusInfo, RoundTrip) {
   EXPECT_EQ(decoded.queued, 5u);
   EXPECT_EQ(decoded.completed, 123456789u);
   EXPECT_DOUBLE_EQ(decoded.load_average, 2.75);
+}
+
+TEST(RegisterResult, StatusesZeroToTwoRoundTripAndThreeIsRejected) {
+  for (const auto status :
+       {RegisterResult::Status::Applied, RegisterResult::Status::Duplicate,
+        RegisterResult::Status::Fenced}) {
+    RegisterResult result;
+    result.status = status;
+    result.seq = 7;
+    result.shard_epoch = 2;
+    xdr::Encoder enc;
+    result.encode(enc);
+    xdr::Decoder dec(enc.bytes());
+    const RegisterResult decoded = RegisterResult::decode(dec);
+    EXPECT_EQ(decoded.status, status);
+    EXPECT_EQ(decoded.seq, 7u);
+    EXPECT_EQ(decoded.shard_epoch, 2u);
+  }
+  // Statuses past 2 are undefined: a misrouted op draws a WrongShard
+  // frame, never a RegisterAck.
+  xdr::Encoder enc;
+  enc.putU32(3);
+  enc.putU64(7);
+  enc.putU64(2);
+  xdr::Decoder dec(enc.bytes());
+  EXPECT_THROW(RegisterResult::decode(dec), ProtocolError);
 }
 
 }  // namespace

@@ -143,8 +143,7 @@ TEST_F(MetaserverFixture, StalledServerPollIsBoundedAndSkipped) {
            [&peers] {
              auto [near_end, far_end] = transport::inprocPair();
              peers.push_back(std::move(far_end));
-             return std::make_unique<NinfClient>(std::move(near_end),
-                                                 /*force_v1=*/true);
+             return std::make_unique<NinfClient>(std::move(near_end));
            },
        .bandwidth_bps = 1e9,
        .perf_flops = 1e12});

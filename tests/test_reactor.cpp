@@ -5,13 +5,16 @@
 // frame one byte at a time without stalling anyone, and mid-body
 // disconnects that clean up instead of leaking a blocked reader thread.
 #include <gtest/gtest.h>
+#include <sys/eventfd.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,6 +25,7 @@
 #include "client/ninf_api.h"
 #include "common/batch.h"
 #include "common/error.h"
+#include "common/sync.h"
 #include "numlib/ep.h"
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
@@ -30,7 +34,9 @@
 #include "server/server.h"
 #include "stream_send.h"
 #include "transport/fault_injection.h"
+#include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
+#include "v1_peer.h"
 #include "xdr/xdr.h"
 
 namespace ninf {
@@ -332,14 +338,16 @@ TEST_F(ReactorTest, V1ClientInterop) {
   EXPECT_GT(dec.getU32(), 0u);
   stream->close();
 
-  // Full client forced to v1: negotiation skipped, staged pipeline
-  // still serves the call through the per-connection lock-step hold.
-  auto v1 = std::make_unique<NinfClient>(
-      transport::tcpConnect("127.0.0.1", port_), /*force_v1=*/true);
+  // A whole v1 call, interface query included: the staged pipeline
+  // serves it through the per-connection lock-step hold.
+  V1Peer v1(transport::tcpConnect("127.0.0.1", port_));
   std::vector<double> sums(2), q(10);
-  ninfCall(*v1, "ep", std::int64_t{7}, std::int64_t{128}, sums, q);
+  const std::vector<ArgValue> args = {ArgValue::inInt(7), ArgValue::inInt(128),
+                                      ArgValue::outArray(sums),
+                                      ArgValue::outArray(q)};
+  v1.call("ep", args);
   EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(7, 128).sx);
-  v1->close();
+  v1.close();
 }
 
 TEST(ReactorAdmission, TinyBudgetStillCompletesEveryCall) {
@@ -440,6 +448,101 @@ TEST(ReactorHangup, LocallyAbortedConnectionIsClosedNotPolled) {
   ASSERT_TRUE(waitFor([&] { return finished.load(); }));
   const double cpu = processCpuSeconds() - cpu_before;
   EXPECT_LT(cpu, 0.1) << "reactor busy-polled a hung-up connection";
+  EXPECT_TRUE(waitFor([] { return reactorFds() == 0.0; }))
+      << "fds gauge " << reactorFds();
+  server.stop();
+}
+
+/// A pollable listener that hands the reactor the streams a test offers,
+/// such as one end of an inprocPair(): an eventfd is readable while one
+/// waits.
+class OfferListener final : public transport::Listener {
+ public:
+  OfferListener() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  ~OfferListener() override { close(); }
+
+  void offer(std::unique_ptr<transport::Stream> stream) {
+    LockGuard lock(mutex_);
+    offered_.push_back(std::move(stream));
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+  }
+
+  /// The reactor accepts through tryAccept() only.
+  std::unique_ptr<transport::Stream> accept() override { return nullptr; }
+  void close() override {
+    LockGuard lock(mutex_);
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  int nativeHandle() const override {
+    LockGuard lock(mutex_);
+    return fd_;
+  }
+  std::unique_ptr<transport::Stream> tryAccept(
+      transport::AcceptStatus& status) override {
+    LockGuard lock(mutex_);
+    if (fd_ < 0) {
+      status = transport::AcceptStatus::Closed;
+      return nullptr;
+    }
+    if (offered_.empty()) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
+      status = transport::AcceptStatus::WouldBlock;
+      return nullptr;
+    }
+    status = transport::AcceptStatus::Accepted;
+    auto stream = std::move(offered_.front());
+    offered_.pop_front();
+    return stream;
+  }
+
+ private:
+  mutable Mutex mutex_{"test.offer_listener"};
+  int fd_ NINF_GUARDED_BY(mutex_);
+  std::deque<std::unique_ptr<transport::Stream>> offered_
+      NINF_GUARDED_BY(mutex_);
+};
+
+TEST(ReactorHangup, PausedConnectionIsClosedNotPolled) {
+  // A v1 peer on an AF_UNIX pair stages nap(300) and pipelines a Ping
+  // behind it, so the lock-step hold pauses reads with the Ping
+  // buffered.  Then the peer closes: epoll reports EPOLLHUP on every
+  // wait, and a paused connection reads nothing, so the reactor must
+  // close it rather than spin on it until the call finishes.
+  Registry registry;
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  registry.add(R"IDL(Define nap(mode_in long ms) Calls "C" nap(ms);)IDL",
+               [&](server::CallContext& ctx) {
+                 started = true;
+                 std::this_thread::sleep_for(
+                     std::chrono::milliseconds(ctx.intArg("ms")));
+                 finished = true;
+               });
+  NinfServer server(registry, {.workers = 1});
+  auto listener = std::make_shared<OfferListener>();
+  server.start(listener);
+  auto [peer, served] = transport::inprocPair();
+  listener->offer(std::move(served));
+
+  xdr::Encoder call;
+  call.putString("nap");
+  call.putI64(300);
+  protocol::sendFrame(*peer, protocol::WireMode::V1,
+                      protocol::MessageType::CallRequest, call);
+  ASSERT_TRUE(waitFor([&] { return started.load(); }));
+  const std::vector<std::uint8_t> echo = {1, 2, 3, 4};
+  protocol::sendFrame(*peer, protocol::WireMode::V1,
+                      protocol::MessageType::Ping, echo);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  peer->close();
+
+  const double cpu_before = processCpuSeconds();
+  ASSERT_TRUE(waitFor([&] { return finished.load(); }));
+  const double cpu = processCpuSeconds() - cpu_before;
+  EXPECT_LT(cpu, 0.1) << "reactor busy-polled a paused, hung-up connection";
   EXPECT_TRUE(waitFor([] { return reactorFds() == 0.0; }))
       << "fds gauge " << reactorFds();
   server.stop();
@@ -615,10 +718,22 @@ TEST_F(ReactorPrologueTest, CallsEitherSideOfTheSmallFrameBoundGetEveryReply) {
 
   double salt = 0.0;
   for (const bool v1 : {false, true}) {
-    auto client =
-        v1 ? std::make_unique<NinfClient>(
-                 transport::tcpConnect("127.0.0.1", port_), /*force_v1=*/true)
-           : NinfClient::connectTcp("127.0.0.1", port_);
+    // The v2 session layer, or a scripted v1 client in lock-step.
+    std::unique_ptr<NinfClient> client;
+    std::unique_ptr<V1Peer> peer;
+    if (v1) {
+      peer = std::make_unique<V1Peer>(
+          transport::tcpConnect("127.0.0.1", port_));
+    } else {
+      client = NinfClient::connectTcp("127.0.0.1", port_);
+    }
+    const auto call = [&](const char* name, std::span<const ArgValue> args) {
+      if (peer) {
+        peer->call(name, args);
+      } else {
+        client->call(name, args);
+      }
+    };
     for (const std::size_t n : {kBelow, kAbove}) {
       SCOPED_TRACE((v1 ? "v1, n=" : "v2, n=") + std::to_string(n));
       // Fresh values per round, so no round replays another's cache entry.
@@ -634,25 +749,27 @@ TEST_F(ReactorPrologueTest, CallsEitherSideOfTheSmallFrameBoundGetEveryReply) {
           ArgValue::inInt(static_cast<std::int64_t>(n)), ArgValue::inArray(x),
           ArgValue::outArray(s)};
 
-      client->call("vsum", args);
+      call("vsum", args);
       EXPECT_DOUBLE_EQ(s[0], want);
 
       // The second identical idempotent call is a cached replay.
       const int runs = idem_runs_.load();
       for (int rep = 0; rep < 2; ++rep) {
         s[0] = 0.0;
-        client->call("vsum_idem", args);
+        call("vsum_idem", args);
         EXPECT_DOUBLE_EQ(s[0], want);
       }
       EXPECT_EQ(idem_runs_.load() - runs, 1);
 
       s[0] = 0.0;
-      const client::JobHandle job = client->submit("vsum", args);
-      std::optional<client::CallResult> fetched;
-      ASSERT_TRUE(waitFor([&] {
-        fetched = client->fetch(job, args);
-        return fetched.has_value();
-      }));
+      if (peer) {
+        const std::uint64_t job = peer->submit("vsum", args);
+        ASSERT_TRUE(waitFor([&] { return peer->fetch(job, "vsum", args); }));
+      } else {
+        const client::JobHandle job = client->submit("vsum", args);
+        ASSERT_TRUE(
+            waitFor([&] { return client->fetch(job, args).has_value(); }));
+      }
       EXPECT_DOUBLE_EQ(s[0], want);
 
       // A body that fails to decode gets an error reply, whether or not
@@ -660,20 +777,29 @@ TEST_F(ReactorPrologueTest, CallsEitherSideOfTheSmallFrameBoundGetEveryReply) {
       for (const char* name : {"vsum", "vsum_idem"}) {
         std::uint32_t status = 0;
         std::string message;
-        client->channel().transact(
-            protocol::MessageType::CallRequest, requestBody(name, x, 4),
-            [&](const client::Channel::Reply&, xdr::Source& src) {
-              status = src.getU32();
-              message = src.getString();
-            });
+        const auto consume = [&](const auto&, xdr::Source& src) {
+          status = src.getU32();
+          message = src.getString();
+        };
+        if (peer) {
+          peer->exchange(protocol::MessageType::CallRequest,
+                         requestBody(name, x, 4), consume);
+        } else {
+          client->channel().transact(protocol::MessageType::CallRequest,
+                                     requestBody(name, x, 4), consume);
+        }
         EXPECT_EQ(status, 1u) << name;
         EXPECT_NE(message.find("trailing"), std::string::npos) << message;
       }
       s[0] = 0.0;
-      client->call("vsum", args);
+      call("vsum", args);
       EXPECT_DOUBLE_EQ(s[0], want);
     }
-    client->close();
+    if (peer) {
+      peer->close();
+    } else {
+      client->close();
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
+#include "v1_peer.h"
 #include "xdr/xdr.h"
 
 namespace ninf {
@@ -93,11 +94,19 @@ TEST_F(SessionFixture, NegotiatesProtocolV2) {
 TEST_F(SessionFixture, V1ClientRoundTripsAgainstV2Server) {
   // A pre-negotiation client must keep working against an upgraded
   // server: no Hello, classic lock-step framing.
-  auto client = std::make_unique<NinfClient>(
-      transport::tcpConnect("127.0.0.1", port_), /*force_v1=*/true);
-  EXPECT_DOUBLE_EQ(nap(*client, 1), 1.0);
-  EXPECT_EQ(client->channel().negotiatedVersion(), protocol::kVersion);
-  EXPECT_EQ(client->listExecutables().size(), registry_.size());
+  V1Peer v1(transport::tcpConnect("127.0.0.1", port_));
+  std::vector<double> echo(1);
+  const std::vector<ArgValue> args = {ArgValue::inInt(1),
+                                      ArgValue::outArray(echo)};
+  v1.call("nap", args);
+  EXPECT_DOUBLE_EQ(echo[0], 1.0);
+  std::uint32_t listed = 0;
+  v1.exchange(protocol::MessageType::ListExecutables, xdr::Encoder{},
+              [&](const protocol::FrameHeader& reply, xdr::Source& src) {
+                EXPECT_EQ(reply.type, protocol::MessageType::ExecutableList);
+                listed = src.getU32();
+              });
+  EXPECT_EQ(listed, registry_.size());
 }
 
 TEST_F(SessionFixture, OneConnectionSustainsWorkersConcurrentCalls) {
@@ -620,8 +629,7 @@ TEST(ConnectionPoolHealth, StalledPeerHealthCheckIsBoundedAndEvicted) {
     auto [near_end, far_end] = transport::inprocPair();
     peers.push_back(std::move(far_end));
     ++created;
-    return std::make_unique<NinfClient>(std::move(near_end),
-                                        /*force_v1=*/true);
+    return std::make_unique<NinfClient>(std::move(near_end));
   };
   { auto lease = pool.acquire("stalled", factory); }  // fresh: no check
   EXPECT_EQ(pool.idleCount(), 1u);
@@ -686,8 +694,7 @@ TEST(ConnectionPoolEviction, TtlEvictionDestroysConnectionsOutsideTheLock) {
     }
     return std::make_unique<NinfClient>(
         std::make_unique<EvictionCanaryStream>(std::move(near_end), &pool,
-                                               &canary_probes),
-        /*force_v1=*/true);
+                                               &canary_probes));
   };
 
   {

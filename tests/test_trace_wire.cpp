@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "server/server.h"
 #include "transport/fault_injection.h"
 #include "transport/tcp_transport.h"
+#include "v1_peer.h"
 
 namespace ninf {
 namespace {
@@ -87,6 +89,16 @@ class TraceWire : public ::testing::Test {
   /// must perturb the arguments.
   void checkedCall(NinfClient& client, const CallOptions& opts = {},
                    int salt = 0) {
+    checkedDmmul(
+        [&](std::span<const ArgValue> args) {
+          client.call("dmmul", args, opts);
+        },
+        salt);
+  }
+
+  /// The same dmmul, issued by `call(args)`.
+  template <typename Call>
+  void checkedDmmul(Call&& call, int salt = 0) {
     const std::size_t n = 6;
     const numlib::Matrix a = numlib::randomMatrix(n, 7 + 2 * salt);
     const numlib::Matrix b = numlib::randomMatrix(n, 8 + 2 * salt);
@@ -96,7 +108,7 @@ class TraceWire : public ::testing::Test {
         ArgValue::inInt(static_cast<std::int64_t>(n)),
         ArgValue::inArray(a.flat()), ArgValue::inArray(b.flat()),
         ArgValue::outArray(c)};
-    client.call("dmmul", args, opts);
+    call(args);
     for (std::size_t i = 0; i < c.size(); ++i) {
       ASSERT_NEAR(c[i], expected.flat()[i], 1e-12);
     }
@@ -179,20 +191,25 @@ TEST_F(TraceWire, PropagatesThroughMetaserver) {
 
 TEST_F(TraceWire, V1FallbackDropsContextCleanly) {
   TracerGuard guard;
-  NinfClient client(connect(), /*force_v1=*/true);
-  checkedCall(client);
-  EXPECT_FALSE(client.channel().tracePropagationNegotiated());
-  client.close();
+  std::uint64_t client_trace = 0;
+  {
+    // A v1 client's call inside a traced span.
+    obs::Span call(obs::phase::kCall);
+    client_trace = call.traceId();
+    V1Peer v1(connect());
+    checkedDmmul(
+        [&](std::span<const ArgValue> args) { v1.call("dmmul", args); });
+    v1.close();
+  }
 
   // The v1 wire has no header room for trace context; the call must
   // still work and the server's spans simply stay out of the client's
   // trace instead of attaching to a bogus one.
+  EXPECT_NE(client_trace, 0u);
   const auto spans = obs::Tracer::instance().drain();
-  const auto* call = findSpan(spans, "call");
-  ASSERT_NE(call, nullptr);
-  EXPECT_NE(call->trace_id, 0u);
+  ASSERT_NE(findSpan(spans, "server.compute"), nullptr);
   for (const auto* s : findSpans(spans, "server.compute")) {
-    EXPECT_NE(s->trace_id, call->trace_id);
+    EXPECT_NE(s->trace_id, client_trace);
   }
 }
 
