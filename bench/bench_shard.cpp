@@ -5,10 +5,11 @@
 // computing servers exports 64 synthetic service names, partitioned over
 // the shards by the consistent-hash ring; client threads resolve random
 // names through ShardedMetaserver::route() as fast as they can.  The
-// nodes poll server status on every decision (status_freshness 0, the
-// NetSolve-style model), so a shard's per-decision cost scales with its
-// slice of the server table — sharding shrinks the slice AND spreads
-// queries over independent primaries.
+// nodes poll server status on every decision (status_freshness 0, set
+// here because the node default schedules from a monitored cache), so a
+// shard's per-decision cost scales with its slice of the server table —
+// sharding shrinks the slice AND spreads queries over independent
+// primaries.
 //
 // A final forced-failover step at the largest shard count re-runs the
 // storm and kills shard 0's primary a third of the way in: the step's
@@ -143,6 +144,7 @@ int runShardSweep(const Config& cfg) {
       metaserver::NodeOptions popts;
       popts.shard_id = static_cast<std::uint32_t>(s);
       popts.primary = true;
+      popts.status_freshness = 0.0;  // every decision polls its slice
       popts.heartbeat_interval_s = kHeartbeat;
       popts.heartbeat_miss_budget = kMissBudget;
       popts.resolver = resolver;
@@ -157,6 +159,7 @@ int runShardSweep(const Config& cfg) {
       metaserver::NodeOptions bopts;
       bopts.shard_id = static_cast<std::uint32_t>(s);
       bopts.primary = false;
+      bopts.status_freshness = 0.0;  // as its primary, once promoted
       bopts.heartbeat_interval_s = kHeartbeat;
       bopts.heartbeat_miss_budget = kMissBudget;
       bopts.resolver = resolver;

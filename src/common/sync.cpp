@@ -201,7 +201,9 @@ void declareCanonicalHierarchy() {
   // Metaserver directory: the table lock may wrap a per-server cache
   // lock.  The per-server poll lock wraps only the lazy dial of the
   // status channel, which installs that channel's reconnect factory;
-  // the poll I/O itself runs with no directory lock held.
+  // the poll I/O itself runs with no directory lock held.  The monitor
+  // loop's lock (directory.monitor) guards its stop flag alone: rounds
+  // run with it released, so it stays a leaf with no edge to declare.
   declareOrder({"directory.global", "directory.server"});
   declareOrder({"directory.poll", "channel.setup", "channel.send",
                 "channel.pending"});

@@ -200,6 +200,7 @@ protocol::ServerStatusInfo LocalDirectory::finishPoll(Poll& poll) {
   state.last_status = status;
   state.last_status_time = nowSeconds();
   state.reachable = true;
+  state.picks_since_poll = 0;
   return status;
 }
 
@@ -224,6 +225,36 @@ void LocalDirectory::pollAll() {
                       << e.what();
     }
   }
+}
+
+void LocalDirectory::startMonitoring(
+    std::chrono::steady_clock::duration interval,
+    std::function<bool()> active) {
+  NINF_REQUIRE(interval.count() > 0, "monitoring interval must be positive");
+  stopMonitoring();
+  {
+    LockGuard lock(monitor_mutex_);
+    monitor_stop_ = false;
+  }
+  monitor_thread_ = std::thread([this, interval, active = std::move(active)] {
+    for (;;) {
+      if (!active || active()) pollAll();
+      UniqueLock lock(monitor_mutex_);
+      if (monitor_cv_.wait_for(lock, interval,
+                               [this] { return monitor_stop_; })) {
+        return;
+      }
+    }
+  });
+}
+
+void LocalDirectory::stopMonitoring() {
+  {
+    LockGuard lock(monitor_mutex_);
+    monitor_stop_ = true;
+  }
+  monitor_cv_.notify_all();
+  if (monitor_thread_.joinable()) monitor_thread_.join();
 }
 
 protocol::ServerStatusInfo LocalDirectory::lastStatus(
@@ -276,7 +307,8 @@ LocalDirectory::Target LocalDirectory::decide(
   pollRound(entry_name, args, excluded, candidates);
 
   bool skipped_cooling = false;
-  const ServerState* picked = nullptr;
+  ServerState* picked = nullptr;
+  double observed_load = 0.0;
   {
     LockGuard lock(mutex_);
     const auto now = std::chrono::steady_clock::now();
@@ -292,6 +324,7 @@ LocalDirectory::Target LocalDirectory::decide(
       if (!c.eligible) continue;
       LockGuard cache(c.state->mutex);
       c.cooling = c.state->cooldown_until > now;
+      c.picks = c.state->picks_since_poll;
       any_cooling = any_cooling || c.cooling;
     }
     // A server inside its post-failure cooldown window is shunned like
@@ -307,6 +340,11 @@ LocalDirectory::Target LocalDirectory::decide(
       }
     }
     if (!picked) picked = pickAmong(entry_name, candidates, false).state;
+    // Counted under the table lock, so the next decision's scores see
+    // this pick however soon it runs.
+    LockGuard cache(picked->mutex);
+    ++picked->picks_since_poll;
+    observed_load = picked->last_status.load_average;
   }
   if (skipped_cooling) {
     static obs::Counter& cooldown_skips =
@@ -315,13 +353,8 @@ LocalDirectory::Target LocalDirectory::decide(
   }
   // entry is immutable and `round` keeps the state alive, so the target
   // needs no table lock.
-  Target target{picked->entry.name, picked->entry.endpoint,
-                picked->entry.factory};
-  {
-    LockGuard cache(picked->mutex);
-    target.observed_load = picked->last_status.load_average;
-  }
-  return target;
+  return Target{picked->entry.name, picked->entry.endpoint,
+                picked->entry.factory, observed_load};
 }
 
 void LocalDirectory::pollRound(const std::string& entry_name,
@@ -423,10 +456,11 @@ const LocalDirectory::Candidate& LocalDirectory::pickAmong(
   double best_score = std::numeric_limits<double>::infinity();
   for (const Candidate& c : candidates) {
     if (!usable(c)) continue;
-    const double jobs =
-        static_cast<double>(c.status.running) + c.status.queued;
+    const double jobs = static_cast<double>(c.status.running) +
+                        c.status.queued + static_cast<double>(c.picks);
     // LeastLoad adds running and queued calls the load average may not
-    // reflect yet, so bursts spread instead of piling on one server.
+    // reflect yet, and the picks the last poll cannot have seen, so
+    // bursts spread instead of piling on one server.
     const double score =
         policy_ == SchedulingPolicy::LeastLoad
             ? c.status.load_average + jobs

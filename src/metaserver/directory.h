@@ -7,7 +7,8 @@
 //        │ decide(entry, args, excluded names)          one decision per
 //        ▼                                              attempt
 //   LocalDirectory                                   — server table,
-//        │                                              status cache,
+//        │                                              status cache and
+//        │                                              its monitor loop,
 //        ▼                                              policy selection
 //   replication (log shipping), ring (sharding)      — scale-out
 //
@@ -42,6 +43,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/dispatcher.h"
@@ -97,6 +99,9 @@ class LocalDirectory {
 
   explicit LocalDirectory(SchedulingPolicy policy = SchedulingPolicy::LeastLoad)
       : policy_(policy) {}
+  ~LocalDirectory() { stopMonitoring(); }
+  LocalDirectory(const LocalDirectory&) = delete;
+  LocalDirectory& operator=(const LocalDirectory&) = delete;
 
   // ---- tuning (set before concurrent use) ----
   void setStatusFreshness(double seconds) { status_freshness_ = seconds; }
@@ -122,7 +127,8 @@ class LocalDirectory {
   /// table version, then polls every server that is not excluded and
   /// exports the entry (reusing statuses younger than the freshness
   /// window) with no lock held: every poll is sent before any reply is
-  /// awaited, so one decision costs one poll round.  Then it picks by
+  /// awaited, so one decision costs at most one poll round, and none
+  /// while the monitor loop keeps every status fresh.  Then it picks by
   /// policy among the servers still registered, compared by identity, so
   /// a server deregistered during the round is never picked.  Cooling
   /// servers are shunned while any other candidate remains.  Throws
@@ -151,6 +157,18 @@ class LocalDirectory {
   /// the world cold.  Unknown server names are ignored.
   void adoptLiveness(const std::vector<protocol::LivenessRecord>& digest);
 
+  // ---- monitoring ----
+  /// Background monitoring (section 2.4: the metaserver "monitors
+  /// multiple Ninf computing servers"): one pollAll() round now and one
+  /// each `interval` after, skipped while `active` returns false (null:
+  /// always poll).  With the interval inside the freshness window,
+  /// decisions find every status cached.  Restarts a running loop.
+  void startMonitoring(std::chrono::steady_clock::duration interval,
+                       std::function<bool()> active = nullptr);
+  /// Wakes the loop and joins it; a round in flight finishes first, the
+  /// interval is never waited out.  Idempotent.
+  void stopMonitoring();
+
  private:
   struct ServerState {
     explicit ServerState(ServerEntry e) : entry(std::move(e)) {}
@@ -173,6 +191,12 @@ class LocalDirectory {
     /// Steady seconds; 0 = never polled.
     double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
     bool reachable NINF_GUARDED_BY(mutex) = false;
+    /// Decisions that picked this server since its last completed poll.
+    /// The scoring policies add them to the polled jobs, so decisions
+    /// that share one cached status spread instead of piling onto one
+    /// server.  Kept apart from last_status, which reports only what was
+    /// polled (lastStatus(), the replicated digest).
+    std::uint64_t picks_since_poll NINF_GUARDED_BY(mutex) = 0;
     /// Until this instant the server is shunned after a failed dispatch.
     std::chrono::steady_clock::time_point cooldown_until
         NINF_GUARDED_BY(mutex){};
@@ -189,6 +213,8 @@ class LocalDirectory {
     bool eligible = false;
     /// Inside its cooldown window when the pick ran.
     bool cooling = false;
+    /// Its picks_since_poll when the pick ran.
+    std::uint64_t picks = 0;
     double bytes = 0.0;  // wire bytes of this call (BandwidthAware)
     double flops = 0.0;  // flop estimate of this call (BandwidthAware)
     protocol::ServerStatusInfo status;
@@ -254,6 +280,11 @@ class LocalDirectory {
     protocol::RegistryOp::Kind kind = protocol::RegistryOp::Kind::Register;
   };
   std::map<std::string, AppliedKey> applied_ NINF_GUARDED_BY(mutex_);
+
+  Mutex monitor_mutex_{"directory.monitor"};
+  CondVar monitor_cv_;
+  bool monitor_stop_ NINF_GUARDED_BY(monitor_mutex_) = false;
+  std::thread monitor_thread_;  // joined by stopMonitoring()
 };
 
 }  // namespace ninf::metaserver

@@ -58,34 +58,6 @@ client::CallResult Metaserver::dispatch(const std::string& name,
       });
 }
 
-void Metaserver::startMonitoring(std::chrono::milliseconds interval) {
-  NINF_REQUIRE(interval.count() > 0, "monitoring interval must be positive");
-  stopMonitoring();
-  {
-    LockGuard lock(monitor_mutex_);
-    monitor_stop_ = false;
-  }
-  monitor_thread_ = std::thread([this, interval] {
-    for (;;) {
-      dir_.pollAll();
-      UniqueLock lock(monitor_mutex_);
-      if (monitor_cv_.wait_for(lock, interval,
-                               [this] { return monitor_stop_; })) {
-        return;
-      }
-    }
-  });
-}
-
-void Metaserver::stopMonitoring() {
-  {
-    LockGuard lock(monitor_mutex_);
-    monitor_stop_ = true;
-  }
-  monitor_cv_.notify_all();
-  if (monitor_thread_.joinable()) monitor_thread_.join();
-}
-
 std::vector<client::CallResult> Metaserver::runTransaction(
     client::Transaction& transaction, std::size_t max_parallel) {
   return transaction.run(*this, max_parallel);

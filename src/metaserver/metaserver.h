@@ -18,8 +18,8 @@
 // This class is the in-process dispatcher: it routes each attempt through
 // one LocalDirectory::decide call and runs the call through the
 // retry-elsewhere loop it shares with ShardedMetaserver (failover.h).  It
-// also owns the monitoring thread and the transaction runner.  All server
-// state — the registry table, the liveness cache, and the policy switch
+// also owns the transaction runner.  All server state — the registry
+// table, the liveness cache and its monitor loop, and the policy switch
 // itself — lives in the LocalDirectory (directory.h).  The sharded
 // control plane (ring.h, replication.h, node.h) reuses the same
 // directory behind wire RPCs.
@@ -28,12 +28,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <string>
 #include <vector>
 
 #include "client/connection_pool.h"
-#include "common/sync.h"
 #include "client/dispatcher.h"
 #include "client/transaction.h"
 #include "metaserver/directory.h"
@@ -45,8 +43,6 @@ class Metaserver : public client::CallDispatcher {
  public:
   explicit Metaserver(SchedulingPolicy policy = SchedulingPolicy::LeastLoad)
       : dir_(policy) {}
-
-  ~Metaserver() override { stopMonitoring(); }
 
   /// Fault tolerance (paper, section 2.4: the metaserver "controls the
   /// parallel, fault-tolerant execution" of Ninf_calls): when a dispatch
@@ -83,12 +79,14 @@ class Metaserver : public client::CallDispatcher {
   }
 
   /// Background monitoring (section 2.4: the metaserver "monitors
-  /// multiple Ninf computing servers"): one concurrent poll round over
-  /// every server each `interval`.  Unreachable servers are skipped
-  /// (and retried next round).  Idempotent; stopMonitoring() joins the
-  /// thread.
-  void startMonitoring(std::chrono::milliseconds interval);
-  void stopMonitoring();
+  /// multiple Ninf computing servers"): the directory's loop, one
+  /// concurrent poll round over every server each `interval`.
+  /// Unreachable servers are skipped (and retried next round).
+  /// Idempotent; stopMonitoring() joins the thread.
+  void startMonitoring(std::chrono::milliseconds interval) {
+    dir_.startMonitoring(interval);
+  }
+  void stopMonitoring() { dir_.stopMonitoring(); }
   /// Last polled status of a server (all-zero before the first poll).
   protocol::ServerStatusInfo lastStatus(const std::string& server_name) const {
     return dir_.lastStatus(server_name);
@@ -133,11 +131,6 @@ class Metaserver : public client::CallDispatcher {
 
   LocalDirectory dir_;
   client::ConnectionPool pool_;
-
-  std::thread monitor_thread_;
-  CondVar monitor_cv_;
-  Mutex monitor_mutex_{"metaserver.monitor"};
-  bool monitor_stop_ NINF_GUARDED_BY(monitor_mutex_) = false;
 };
 
 }  // namespace ninf::metaserver

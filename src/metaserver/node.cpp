@@ -70,6 +70,15 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
     last_heartbeat_.store(nowSeconds(), std::memory_order_release);
     watchdog_ = std::thread([this] { watchdogLoop(); });
   }
+  if (opts_.status_freshness > 0) {
+    // Two rounds per freshness window keep every status fresh, so a
+    // decision polls only when a round runs late.  A backup skips its
+    // rounds and keeps adopting the primary's digest until it promotes.
+    dir_.startMonitoring(
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(opts_.status_freshness / 2)),
+        [this] { return writable(); });
+  }
 
   accept_thread_ = std::thread([this] {
     std::uint64_t next_id = 0;
@@ -114,6 +123,7 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
 
 void MetaserverNode::stop() {
   if (stopping_.exchange(true)) return;
+  dir_.stopMonitoring();
   if (listener_) listener_->close();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (watchdog_.joinable()) watchdog_.join();

@@ -58,9 +58,13 @@ struct NodeOptions {
   /// oblivious and load-based policies are servable over the wire.
   SchedulingPolicy policy = SchedulingPolicy::LeastLoad;
   /// Directory tuning (see LocalDirectory; status polls keep its default
-  /// timeout).  freshness 0 polls every decision — the NetSolve-style
-  /// model the paper measures.
-  double status_freshness = 0.0;
+  /// timeout).  A positive freshness runs the directory's monitor loop
+  /// every status_freshness / 2 while this node is a writable primary,
+  /// so decisions schedule from the statuses it keeps fresh: the paper's
+  /// metaserver "monitors multiple Ninf computing servers" (section 2.4)
+  /// apart from the requests it schedules.  0 runs no loop and polls on
+  /// every decision instead.
+  double status_freshness = 0.25;
   double cooldown_seconds = 2.0;
   /// Replication cadence and the backup's patience: a backup promotes
   /// after heartbeat_miss_budget * heartbeat_interval_s of silence.
@@ -89,7 +93,8 @@ class MetaserverNode {
 
   /// Serve connections accepted from `listener` on background threads
   /// until stop().  Also starts replication (primary with a backup
-  /// factory) or the promotion watchdog (backup).
+  /// factory) or the promotion watchdog (backup), and the directory's
+  /// monitor loop at a positive status freshness.
   void serve(std::shared_ptr<transport::Listener> listener);
 
   /// Stop accepting, drop connections, join threads.  Idempotent.

@@ -56,13 +56,16 @@ void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc, double alpha) {
   // jki ordering: stream down columns of C and A (both column-major).
+  // Each column update is a daxpy: its unrolled form runs at the same
+  // speed at every code offset, so dmmul and the LU update keep their
+  // speed when unrelated code growth moves them.
   for (std::size_t j = 0; j < n; ++j) {
     double* cj = c + j * ldc;
     for (std::size_t p = 0; p < k; ++p) {
       const double bpj = alpha * b[p + j * ldb];
       if (bpj == 0.0) continue;
-      const double* ap = a + p * lda;
-      for (std::size_t i = 0; i < m; ++i) cj[i] += bpj * ap[i];
+      daxpy(bpj, std::span<const double>(a + p * lda, m),
+            std::span<double>(cj, m));
     }
   }
 }

@@ -471,6 +471,74 @@ TEST(ShardedMetaserverTest, EveryServerDeadSurfacesTransportError) {
   }
 }
 
+TEST(ShardedMetaserverTest, StopNeverWaitsOutTheMonitorInterval) {
+  // At a 60 s freshness the monitor loop waits 30 s between rounds; a
+  // stop wakes it instead of waiting the interval out, on the primary
+  // that polls and on the backup that only ticks.
+  ShardCluster cluster(1, /*server_count=*/1, /*status_freshness=*/60.0);
+  auto client = cluster.makeClient();
+  cluster.registerServersFor(client, "ep");
+  for (MetaserverNode* node : {cluster.shards_[0].primary.get(),
+                               cluster.shards_[0].backup.get()}) {
+    const auto start = std::chrono::steady_clock::now();
+    node->stop();
+    EXPECT_LT(secondsSince(start), 0.5);
+  }
+}
+
+TEST(ShardedMetaserverTest, MonitorRoundMarksAStoppedServerUnreachable) {
+  // The primary monitors at a 50 ms freshness.  A server stopped while
+  // the client pools a connection to it is marked unreachable by a
+  // monitor round, with no decision asked in between; from then on no
+  // decision names it, and a dispatch lands on the survivor at its
+  // first attempt.
+  ShardCluster cluster(1, /*server_count=*/2);
+  auto client = cluster.makeClient();
+  cluster.registerServersFor(client, "ep");
+  const auto& dir = cluster.shards_[0].primary->directory();
+  auto reachable = [&dir](const std::string& name) {
+    for (const auto& rec : dir.livenessDigest()) {
+      if (rec.server_name == name) return rec.reachable != 0;
+    }
+    return false;
+  };
+  ASSERT_TRUE(eventually(kDeadlineSeconds, [&] {
+    return reachable("server-0") && reachable("server-1");
+  })) << "no monitor round reached both servers";
+
+  constexpr std::int64_t kSamples = 64;
+  const auto expected = numlib::runEp(0, kSamples);
+  std::vector<double> sums(2, -1.0), q(10);
+  auto args = epArgs(sums, q, kSamples);
+  CallOptions opts;
+  opts.deadline_seconds = kDeadlineSeconds;
+  client.dispatch("ep", args, opts);
+  for (const auto& endpoint : cluster.server_endpoints_) {
+    (void)client.dataPool().acquire(endpoint,
+                                    [&] { return dialEndpoint(endpoint); });
+  }
+
+  cluster.servers_[1]->stop();
+  ASSERT_TRUE(eventually(kDeadlineSeconds, [&] {
+    return !reachable("server-1");
+  })) << "no monitor round marked the stopped server";
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(client
+                  .route("ep", {},
+                         std::chrono::steady_clock::now() +
+                             std::chrono::seconds(5))
+                  .server_name,
+              "server-0");
+  }
+  obs::Counter& queries = obs::counter("metaserver.shard.queries");
+  const double before = queries.value();
+  sums.assign(2, -1.0);
+  client.dispatch("ep", args, opts);
+  EXPECT_EQ(queries.value() - before, 1.0) << "the dispatch failed over";
+  EXPECT_NEAR(sums[0], expected.sx, 1e-9);
+  EXPECT_NEAR(sums[1], expected.sy, 1e-9);
+}
+
 TEST(ShardedMetaserverTest, RegistryChurnDuringDispatchStorm) {
   // Four callers dispatch through one shard while a third live server
   // registers and deregisters in a loop, so decisions race table
@@ -643,6 +711,59 @@ TEST(MetaserverNodeTest, FinishedConnectionThreadsAreReaped) {
   EXPECT_LT(rise, 128.0 * 1024 * 1024) << "VmSize rose by " << rise
                                        << " bytes";
   node.stop();
+}
+
+TEST(MetaserverNodeTest, ScheduleQueriesAddNoPollsWhileRoundsKeepUp) {
+  // 16 registered servers, every one exporting ep: the node's first
+  // monitor round polls each once, and 100 decisions inside the
+  // freshness window then schedule from the statuses that round cached,
+  // with no poll of their own.  Without the loop each decision would
+  // poll all 16.
+  constexpr std::size_t kRegistered = 16;
+  std::vector<std::unique_ptr<server::Registry>> registries;
+  std::vector<std::unique_ptr<server::NinfServer>> servers;
+  std::vector<std::string> endpoints;
+  for (int i = 0; i < 4; ++i) {
+    registries.push_back(std::make_unique<server::Registry>());
+    server::registerStandardExecutables(*registries.back());
+    servers.push_back(std::make_unique<server::NinfServer>(
+        *registries.back(), server::ServerOptions{.workers = 1}));
+    auto server_listener = std::make_shared<transport::TcpListener>(0);
+    endpoints.push_back(endpointOf(server_listener->port()));
+    servers.back()->start(server_listener);
+  }
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  const std::string endpoint = endpointOf(listener->port());
+  NodeOptions opts = soloNode(endpoint);
+  opts.status_freshness = 60.0;  // a round at serve(), the next in 30 s
+  MetaserverNode node(std::move(opts));
+  for (std::size_t i = 0; i < kRegistered; ++i) {
+    metaserver::ServerEntry entry;
+    entry.name = "server-" + std::to_string(i);
+    const std::string server = endpoints[i % endpoints.size()];
+    entry.factory = [server] { return dialEndpoint(server); };
+    entry.entries = {"ep"};
+    node.directory().addServer(std::move(entry));
+  }
+
+  obs::Counter& polls = obs::counter("metaserver.directory.polls");
+  const double before = polls.value();
+  node.serve(listener);
+  ASSERT_TRUE(eventually(kDeadlineSeconds, [&] {
+    const auto digest = node.directory().livenessDigest();
+    return std::all_of(digest.begin(), digest.end(),
+                       [](const auto& rec) { return rec.reachable != 0; });
+  })) << "the first monitor round never reached every server";
+  const double round = polls.value();
+  EXPECT_EQ(round - before, static_cast<double>(kRegistered));
+
+  auto client = dialEndpoint(endpoint);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(client->scheduleQuery("ep", {}, 2.0).server_name.empty());
+  }
+  EXPECT_EQ(polls.value() - round, 0.0);
+  node.stop();
+  for (auto& s : servers) s->stop();
 }
 
 TEST(MetaserverNodeTest, HeartbeatAckReportsTheSeqTheBackupApplied) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -394,6 +395,38 @@ TEST(MetaserverPollRound, MuteServersCostOnePollTimeout) {
   for (const auto& rec : meta.directory().livenessDigest()) {
     EXPECT_EQ(rec.reachable, 0u) << rec.server_name;
   }
+}
+
+TEST(MetaserverPollRound, CachedDecisionsCountTheirPicksUntilTheNextPoll) {
+  // Two idle peers at a 60 s freshness: once one decision has polled
+  // both, the next ones score the same cached statuses.  Each pick
+  // counts against its server until that server's next poll, so the
+  // decisions alternate instead of all taking the first of a tie.
+  ScriptedStatusPeers peers;
+  Metaserver meta(SchedulingPolicy::LeastLoad);
+  meta.setStatusFreshness(60.0);
+  for (int i = 0; i < 2; ++i) {
+    meta.addServer(entryOf("peer-" + std::to_string(i),
+                           peers.factory(0.0, std::chrono::milliseconds(0))));
+  }
+  obs::Counter& polls = obs::counter("metaserver.directory.polls");
+  const double before = polls.value();
+  EXPECT_EQ(meta.chooseServer("ep", {}), "peer-0");  // dials and polls both
+  ASSERT_EQ(polls.value() - before, 2.0);
+  std::map<std::string, int> picked;
+  for (int i = 0; i < 8; ++i) ++picked[meta.chooseServer("ep", {})];
+  EXPECT_EQ(polls.value() - before, 2.0);  // all from the cache
+  EXPECT_EQ(picked["peer-0"], 4);
+  EXPECT_EQ(picked["peer-1"], 4);
+  // The counts stay out of what the directory reports as polled.
+  for (const auto& rec : meta.directory().livenessDigest()) {
+    EXPECT_EQ(rec.running + rec.queued, 0u) << rec.server_name;
+  }
+  // A completed poll clears its server's count: peer-0 (5 picks) now
+  // scores 0 against peer-1's 4, and takes the next four decisions.
+  meta.poll("peer-0");
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(meta.chooseServer("ep", {}), "peer-0");
+  EXPECT_EQ(meta.lastStatus("peer-0").queued, 0u);
 }
 
 TEST(MetaserverPollRound, ServerDeregisteredDuringTheRoundIsNeverPicked) {
