@@ -57,7 +57,7 @@ void BM_LuReference(benchmark::State& state) {
       numlib::linpackFlops(n) / 1e6 * state.iterations(),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LuReference)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_LuReference)->Arg(128)->Arg(256)->Arg(350)->Arg(512);
 
 void BM_LuBlocked(benchmark::State& state) {
   const std::size_t n = state.range(0);
@@ -71,7 +71,7 @@ void BM_LuBlocked(benchmark::State& state) {
       numlib::linpackFlops(n) / 1e6 * state.iterations(),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LuBlocked)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_LuBlocked)->Arg(128)->Arg(256)->Arg(350)->Arg(512);
 
 void BM_LuParallel(benchmark::State& state) {
   const std::size_t n = state.range(0);

@@ -166,8 +166,11 @@ void LocalDirectory::markUnreachable(
     LockGuard slot(state.poll_mutex);
     if (state.monitor == failed) state.monitor.reset();
   }
+  // Stamped like a successful poll: decisions inside the freshness
+  // window take the failure from the cache instead of redialling.
   LockGuard cache(state.mutex);
   state.reachable = false;
+  state.last_status_time = nowSeconds();
 }
 
 LocalDirectory::Poll LocalDirectory::startPoll(ServerState& state) {
@@ -292,7 +295,7 @@ void LocalDirectory::adoptLiveness(
     state->last_status.running = rec.running;
     state->last_status.queued = rec.queued;
     state->last_status.load_average = rec.load_average;
-    if (state->reachable) state->last_status_time = nowSeconds();
+    state->last_status_time = nowSeconds();
   }
 }
 
@@ -389,8 +392,7 @@ void LocalDirectory::pollRound(const std::string& entry_name,
     bool cached = false;
     {
       LockGuard cache(c.state->mutex);
-      cached = status_freshness_ > 0 && c.state->reachable &&
-               c.state->last_status_time > 0 &&
+      cached = status_freshness_ > 0 && c.state->last_status_time > 0 &&
                nowSeconds() - c.state->last_status_time <= status_freshness_;
       c.eligible = c.state->reachable;
       c.status = c.state->last_status;

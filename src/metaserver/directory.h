@@ -126,14 +126,14 @@ class LocalDirectory {
   /// One routing decision for a call of `entry_name`.  Takes the current
   /// table version, then polls every server that is not excluded and
   /// exports the entry (reusing statuses younger than the freshness
-  /// window) with no lock held: every poll is sent before any reply is
-  /// awaited, so one decision costs at most one poll round, and none
-  /// while the monitor loop keeps every status fresh.  Then it picks by
-  /// policy among the servers still registered, compared by identity, so
-  /// a server deregistered during the round is never picked.  Cooling
-  /// servers are shunned while any other candidate remains.  Throws
-  /// NotFoundError when no candidate is eligible, an empty table
-  /// included.
+  /// window, a failed poll's "unreachable" included) with no lock held:
+  /// every poll is sent before any reply is awaited, so one decision
+  /// costs at most one poll round, and none while the monitor loop keeps
+  /// every status fresh.  Then it picks by policy among the servers
+  /// still registered, compared by identity, so a server deregistered
+  /// during the round is never picked.  Cooling servers are shunned
+  /// while any other candidate remains.  Throws NotFoundError when no
+  /// candidate is eligible, an empty table included.
   Target decide(const std::string& entry_name,
                 std::span<const protocol::ArgValue> args,
                 const std::vector<std::string>& excluded);
@@ -188,7 +188,8 @@ class LocalDirectory {
     /// mutex_ may be held while taking this one, never the reverse.
     mutable Mutex mutex{"directory.server"};
     protocol::ServerStatusInfo last_status NINF_GUARDED_BY(mutex);
-    /// Steady seconds; 0 = never polled.
+    /// Steady seconds of the last poll, answered or failed, or of the
+    /// adopted digest; 0 = never polled.
     double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
     bool reachable NINF_GUARDED_BY(mutex) = false;
     /// Decisions that picked this server since its last completed poll.

@@ -1,6 +1,7 @@
 #include "numlib/blas.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 
@@ -9,23 +10,30 @@ namespace ninf::numlib {
 void daxpy(double alpha, std::span<const double> x, std::span<double> y) {
   NINF_REQUIRE(x.size() == y.size(), "daxpy length mismatch");
   if (alpha == 0.0) return;
-  // Reference BLAS daxpy.f form: a clean-up loop for n mod 4, then a
-  // loop unrolled by 4.  Each element still gets exactly one
-  // y + alpha * x, so results are bit-identical to the plain loop.  The
-  // plain loop's speed hinged on its code alignment: moved by 16 bytes
-  // it made LINPACK's factorization up to 1.8x slower, while this form
-  // runs at the same speed at every offset.
+  // Two 16-byte lanes per step, then a scalar tail.  Each element still
+  // gets exactly one y + alpha * x, a separate IEEE multiply and add, so
+  // results are bit-identical to the plain loop.  x86-64's baseline SSE2
+  // carries the vector type; other targets lower it themselves.  Loads
+  // and stores go through memcpy: they assume no alignment and break no
+  // aliasing rule.
+  using V2 = double __attribute__((vector_size(16)));
+  const auto load = [](const double* p) {
+    V2 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  };
+  const V2 a = {alpha, alpha};
   const std::size_t n = x.size();
   const double* xp = x.data();
   double* yp = y.data();
-  const std::size_t m = n % 4;
-  for (std::size_t i = 0; i < m; ++i) yp[i] += alpha * xp[i];
-  for (std::size_t i = m; i < n; i += 4) {
-    yp[i] += alpha * xp[i];
-    yp[i + 1] += alpha * xp[i + 1];
-    yp[i + 2] += alpha * xp[i + 2];
-    yp[i + 3] += alpha * xp[i + 3];
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const V2 lo = load(yp + i) + a * load(xp + i);
+    const V2 hi = load(yp + i + 2) + a * load(xp + i + 2);
+    std::memcpy(yp + i, &lo, sizeof lo);
+    std::memcpy(yp + i + 2, &hi, sizeof hi);
   }
+  for (; i < n; ++i) yp[i] += alpha * xp[i];
 }
 
 double ddot(std::span<const double> x, std::span<const double> y) {
@@ -56,15 +64,12 @@ void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc, double alpha) {
   // jki ordering: stream down columns of C and A (both column-major).
-  // Each column update is a daxpy: its unrolled form runs at the same
-  // speed at every code offset, so dmmul and the LU update keep their
-  // speed when unrelated code growth moves them.
+  // Each column update is a daxpy, the one kernel every column update in
+  // numlib runs.
   for (std::size_t j = 0; j < n; ++j) {
     double* cj = c + j * ldc;
     for (std::size_t p = 0; p < k; ++p) {
-      const double bpj = alpha * b[p + j * ldb];
-      if (bpj == 0.0) continue;
-      daxpy(bpj, std::span<const double>(a + p * lda, m),
+      daxpy(alpha * b[p + j * ldb], std::span<const double>(a + p * lda, m),
             std::span<double>(cj, m));
     }
   }
@@ -75,11 +80,9 @@ void dtrsmLowerUnit(std::size_t m, std::size_t n, const double* l,
   // Forward substitution, column by column of B.
   for (std::size_t j = 0; j < n; ++j) {
     double* bj = b + j * ldb;
-    for (std::size_t p = 0; p < m; ++p) {
-      const double bp = bj[p];
-      if (bp == 0.0) continue;
-      const double* lp = l + p * lda;
-      for (std::size_t i = p + 1; i < m; ++i) bj[i] -= bp * lp[i];
+    for (std::size_t p = 0; p + 1 < m; ++p) {
+      daxpy(-bj[p], std::span<const double>(l + p * lda + p + 1, m - p - 1),
+            std::span<double>(bj + p + 1, m - p - 1));
     }
   }
 }

@@ -8,7 +8,9 @@
 
 namespace ninf::numlib {
 
-/// y += alpha * x.
+/// y += alpha * x, one multiply and one add per element, in element
+/// order; returns at once when alpha == 0.  x and y must not overlap:
+/// the vector form loads a step's elements before it stores them.
 void daxpy(double alpha, std::span<const double> x, std::span<double> y);
 
 /// dot(x, y).
@@ -20,16 +22,17 @@ void dscal(double alpha, std::span<double> x);
 /// Index of the element of largest magnitude; 0 for empty input.
 std::size_t idamax(std::span<const double> x);
 
-/// C(mxn) += A(mxk) * B(kxn), all column-major with leading dimensions
-/// lda/ldb/ldc.  Straightforward register-blocked triple loop; this is the
-/// workhorse of the blocked ("optimized library") LU path.
+/// C(mxn) += alpha * A(mxk) * B(kxn), all column-major with leading
+/// dimensions lda/ldb/ldc.  A jki loop of daxpy calls, one per column of
+/// A and of C; this is the workhorse of dmmul and of the blocked
+/// ("optimized library") LU path.  C must not overlap A.
 void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc, double alpha = 1.0);
 
 /// Solve L * X = B for X in place, where L is unit lower triangular
 /// (m x m, column-major, lda) and B is m x n (ldb).  Used for the U-panel
-/// update in blocked LU.
+/// update in blocked LU.  B must not overlap L.
 void dtrsmLowerUnit(std::size_t m, std::size_t n, const double* l,
                     std::size_t lda, double* b, std::size_t ldb);
 

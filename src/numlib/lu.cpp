@@ -39,9 +39,7 @@ void panelFactor(double* a, std::size_t lda, std::size_t offset, std::size_t m,
     for (std::size_t i = k + 1; i < m; ++i) colk[i] /= pivot;
     for (std::size_t j = k + 1; j < n; ++j) {
       double* colj = a + (offset + j) * lda + offset;
-      const double mult = colj[k];
-      if (mult == 0.0) continue;
-      for (std::size_t i = k + 1; i < m; ++i) colj[i] -= mult * colk[i];
+      daxpy(-colj[k], {colk + k + 1, m - k - 1}, {colj + k + 1, m - k - 1});
     }
   }
 }
@@ -120,15 +118,16 @@ PivotVector dgefa(Matrix& a) {
     // original LINPACK dgefa left columns < k unswapped and compensated
     // in dgesl; the blocked factorizations need the LAPACK convention,
     // so every variant uses it for interchangeable pivot vectors.
+    // Columns 0..k swap here; each later column swaps just before its
+    // update, as in LINPACK's dgefa, so the pass over it runs once.
     if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::swap(a(k, j), a(p, j));
-      }
+      for (std::size_t j = 0; j <= k; ++j) std::swap(a(k, j), a(p, j));
     }
     const double pivot = colk[k];
     dscal(1.0 / pivot, colk.subspan(k + 1));
     for (std::size_t j = k + 1; j < n; ++j) {
       auto colj = a.col(j);
+      std::swap(colj[k], colj[p]);  // a no-op when p == k
       daxpy(-colj[k], colk.subspan(k + 1), colj.subspan(k + 1));
     }
   }
@@ -152,9 +151,7 @@ void dgesl(const Matrix& a, const PivotVector& ipvt, std::span<double> b) {
   // Backward: solve U x = y.
   for (std::size_t k = n; k-- > 0;) {
     b[k] /= a(k, k);
-    const double xk = b[k];
-    auto colk = a.col(k);
-    for (std::size_t i = 0; i < k; ++i) b[i] -= xk * colk[i];
+    daxpy(-b[k], a.col(k).first(k), b.first(k));
   }
 }
 

@@ -19,28 +19,33 @@ TEST(Blas, Daxpy) {
 }
 
 TEST(Blas, DaxpyUnrolledIsBitIdenticalToTheScalarLoop) {
-  // daxpy runs a clean-up loop and then a loop unrolled by 4; each
-  // element must still get exactly one y + alpha * x, for every n mod 4
-  // and every start offset, and nothing outside the span may change.
-  constexpr std::size_t kLen = 80;
+  // daxpy runs two 16-byte vectors per step and then a scalar tail; each
+  // element must still get exactly one y + alpha * x, for every length
+  // mod 4 and every start offset, at zero alphas of either sign and at
+  // extreme ones, and nothing outside the span may change.
+  constexpr std::size_t kMaxN = 131;
+  constexpr std::size_t kLen = kMaxN + 4;
   std::vector<double> xs(kLen), ys(kLen);
   for (std::size_t i = 0; i < kLen; ++i) {
     xs[i] = std::sin(static_cast<double>(i) + 0.5) * 1e3 / (1.0 + i);
     ys[i] = std::cos(static_cast<double>(i) * 1.7) * 3.0 - 1e-3 * i;
   }
-  const double alpha = -0.7310585786300049;
-  for (std::size_t offset = 0; offset < 4; ++offset) {
-    for (std::size_t n = 0; n <= 67; ++n) {
-      std::vector<double> got = ys;
-      std::vector<double> want = ys;
-      daxpy(alpha, std::span<const double>(xs.data() + offset, n),
-            std::span<double>(got.data() + offset, n));
-      for (std::size_t i = offset; i < offset + n; ++i) {
-        want[i] += alpha * xs[i];
+  for (const double alpha : {-0.0, 0.0, -0.7310585786300049, 1e300, 1e-300}) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t n = 0; n <= kMaxN; ++n) {
+        std::vector<double> got = ys;
+        std::vector<double> want = ys;
+        daxpy(alpha, std::span<const double>(xs.data() + offset, n),
+              std::span<double>(got.data() + offset, n));
+        if (alpha != 0.0) {
+          for (std::size_t i = offset; i < offset + n; ++i) {
+            want[i] += alpha * xs[i];
+          }
+        }
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), kLen * sizeof(double)), 0)
+            << "alpha=" << alpha << " n=" << n << " offset=" << offset;
       }
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), kLen * sizeof(double)),
-                0)
-          << "n=" << n << " offset=" << offset;
     }
   }
 }

@@ -3,7 +3,11 @@
 // and agree with each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "common/error.h"
 #include "numlib/linpack_driver.h"
@@ -102,6 +106,131 @@ TEST(Lu, BlockSizeLargerThanMatrix) {
   const auto ipvt = luBlocked(a, 64);
   dgesl(a, ipvt, b);
   EXPECT_LT(linpackResidual(original, b, rhs), kResidualThreshold);
+}
+
+// The factorizations written as plain scalar loops, the oracle for the
+// kernels: the same pivots and, on every element, the same operations in
+// the same order.  Each column update is y -= t * x, skipped when t is 0
+// (as the reference BLAS daxpy returns at alpha == 0).
+void plainColumnUpdate(double t, const double* x, double* y, std::size_t len) {
+  if (t == 0.0) return;
+  for (std::size_t i = 0; i < len; ++i) y[i] -= t * x[i];
+}
+
+std::size_t plainArgmax(const Matrix& a, std::size_t col, std::size_t from) {
+  std::size_t p = from;
+  for (std::size_t i = from + 1; i < a.rows(); ++i) {
+    if (std::abs(a(i, col)) > std::abs(a(p, col))) p = i;
+  }
+  return p;
+}
+
+void plainSwapRows(Matrix& a, std::size_t k, std::size_t p,
+                   std::size_t col_begin, std::size_t col_end) {
+  for (std::size_t j = col_begin; j < col_end; ++j) {
+    std::swap(a(k, j), a(p, j));
+  }
+}
+
+PivotVector plainDgefa(Matrix& a) {
+  const std::size_t n = a.rows();
+  PivotVector ipvt(n);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const std::size_t p = plainArgmax(a, k, k);
+    ipvt[k] = p;
+    plainSwapRows(a, k, p, 0, n);
+    const double scale = 1.0 / a(k, k);
+    for (std::size_t i = k + 1; i < n; ++i) a(i, k) *= scale;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      plainColumnUpdate(a(k, j), &a(k + 1, k), &a(k + 1, j), n - k - 1);
+    }
+  }
+  if (n > 0) ipvt[n - 1] = n - 1;
+  return ipvt;
+}
+
+PivotVector plainBlocked(Matrix& a, std::size_t nb) {
+  const std::size_t n = a.rows();
+  PivotVector ipvt(n);
+  for (std::size_t k = 0; k < n; k += nb) {
+    const std::size_t end = std::min(n, k + nb);
+    for (std::size_t kk = k; kk < end; ++kk) {
+      const std::size_t p = plainArgmax(a, kk, kk);
+      ipvt[kk] = p;
+      plainSwapRows(a, kk, p, k, end);
+      const double pivot = a(kk, kk);
+      for (std::size_t i = kk + 1; i < n; ++i) a(i, kk) /= pivot;
+      for (std::size_t j = kk + 1; j < end; ++j) {
+        plainColumnUpdate(a(kk, j), &a(kk + 1, kk), &a(kk + 1, j),
+                          n - kk - 1);
+      }
+    }
+    for (std::size_t kk = k; kk < end; ++kk) {
+      plainSwapRows(a, kk, ipvt[kk], 0, k);
+      plainSwapRows(a, kk, ipvt[kk], end, n);
+    }
+    // U12 by forward substitution, then A22 -= L21 * U12.
+    for (std::size_t j = end; j < n; ++j) {
+      for (std::size_t p = k; p + 1 < end; ++p) {
+        plainColumnUpdate(a(p, j), &a(p + 1, p), &a(p + 1, j), end - p - 1);
+      }
+      for (std::size_t p = k; p < end; ++p) {
+        plainColumnUpdate(a(p, j), &a(end, p), &a(end, j), n - end);
+      }
+    }
+  }
+  return ipvt;
+}
+
+void plainDgesl(const Matrix& a, const PivotVector& ipvt,
+                std::vector<double>& b) {
+  const std::size_t n = a.rows();
+  for (std::size_t k = 0; k < n; ++k) std::swap(b[k], b[ipvt[k]]);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    plainColumnUpdate(b[k], a.col(k).data() + k + 1, &b[k + 1], n - k - 1);
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    b[k] /= a(k, k);
+    plainColumnUpdate(b[k], a.col(k).data(), b.data(), k);
+  }
+}
+
+bool sameBits(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(Lu, VariantsMatchTheirPlainLoopsBitForBit) {
+  // Every variant, factor and solve, against its plain-loop oracle:
+  // identical factors, pivots and solution, down to the last bit.
+  for (const std::size_t n : {1, 2, 3, 5, 17, 64, 127, 350}) {
+    const Matrix original = randomMatrix(n, 500 + n);
+    const std::vector<double> rhs = onesRhs(original);
+    const auto check = [&](const char* variant, auto factor, auto oracle) {
+      Matrix got = original;
+      Matrix want = original;
+      std::vector<double> x = rhs;
+      std::vector<double> x_want = rhs;
+      const PivotVector ipvt = factor(got);
+      const PivotVector ipvt_want = oracle(want);
+      dgesl(got, ipvt, x);
+      plainDgesl(want, ipvt_want, x_want);
+      EXPECT_EQ(ipvt, ipvt_want) << variant << " n=" << n;
+      EXPECT_TRUE(sameBits(got.flat(), want.flat())) << variant << " n=" << n;
+      EXPECT_TRUE(sameBits(x, x_want)) << variant << " n=" << n;
+    };
+    check("dgefa", [](Matrix& m) { return dgefa(m); }, plainDgefa);
+    for (const std::size_t nb : {8, 64}) {
+      check(
+          "luBlocked", [nb](Matrix& m) { return luBlocked(m, nb); },
+          [nb](Matrix& m) { return plainBlocked(m, nb); });
+    }
+    // The strips split the trailing update by columns: each column gets
+    // the same operations as in the one-thread blocked path.
+    check(
+        "luParallel", [](Matrix& m) { return luParallel(m, 4); },
+        [](Matrix& m) { return plainBlocked(m, 32); });
+  }
 }
 
 class LuResidualTest

@@ -429,6 +429,33 @@ TEST(MetaserverPollRound, CachedDecisionsCountTheirPicksUntilTheNextPoll) {
   EXPECT_EQ(meta.lastStatus("peer-0").queued, 0u);
 }
 
+TEST(MetaserverPollRound, UnreachableServersAreNotRedialledWithinTheFreshness) {
+  // One live peer and one server whose every dial fails.  The first
+  // decision dials it once and marks it unreachable; inside the 60 s
+  // freshness window the next decisions settle it from the cache, with
+  // no dial and no poll.  At freshness 0 every decision dials it again.
+  ScriptedStatusPeers peers;
+  Metaserver meta(SchedulingPolicy::LeastLoad);
+  meta.setStatusFreshness(60.0);
+  meta.addServer(
+      entryOf("live", peers.factory(0.0, std::chrono::milliseconds(0))));
+  int dials = 0;  // the factory runs on the deciding thread only
+  meta.addServer(entryOf("down", [&dials]() -> std::unique_ptr<NinfClient> {
+    ++dials;
+    throw TransportError("connection refused");
+  }));
+  EXPECT_EQ(meta.chooseServer("ep", {}), "live");
+  EXPECT_EQ(dials, 1);
+  obs::Counter& polls = obs::counter("metaserver.directory.polls");
+  const double before = polls.value();
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(meta.chooseServer("ep", {}), "live");
+  EXPECT_EQ(dials, 1);
+  EXPECT_EQ(polls.value(), before);
+  meta.setStatusFreshness(0.0);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(meta.chooseServer("ep", {}), "live");
+  EXPECT_EQ(dials, 6);
+}
+
 TEST(MetaserverPollRound, ServerDeregisteredDuringTheRoundIsNeverPicked) {
   // The decision waits 200 ms on a's poll; meanwhile a is deregistered.
   // The pick must be the least-loaded server still registered, b — not
