@@ -178,8 +178,8 @@ double dgeco(Matrix& a, PivotVector& ipvt) {
   // Solve U^T w = e, growing w.
   std::vector<double> w(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < k; ++i) sum += a(i, k) * w[i];
+    const double sum =
+        ddot(a.col(k).first(k), std::span<const double>(w).first(k));
     // Choose e_k = ±1 to maximize |w_k| (the LINPACK growth heuristic).
     const double ek = sum >= 0 ? -1.0 : 1.0;
     const double diag = a(k, k);

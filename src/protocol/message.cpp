@@ -308,17 +308,13 @@ common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
   return out;
 }
 
-common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
-                                      std::uint64_t call_id,
-                                      const WireTraceContext& ctx,
-                                      std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  std::uint8_t header[kHeaderBytesV2Traced];
-  const std::size_t header_len =
-      encodeHeader(mode, type, payload.size(), call_id, ctx, header);
-  common::PooledBuffer out = common::acquireBuffer(header_len + payload.size());
-  out.append({header, header_len});
-  out.append(payload);
+common::PooledBuffer frameHeaderPooled(WireMode mode, MessageType type,
+                                       std::uint64_t call_id,
+                                       const WireTraceContext& ctx,
+                                       std::size_t body_bytes) {
+  NINF_REQUIRE(body_bytes <= kMaxPayload, "payload too large");
+  common::PooledBuffer out = common::acquireBuffer(headerBytes(mode));
+  out.resize(encodeHeader(mode, type, body_bytes, call_id, ctx, out.data()));
   return out;
 }
 

@@ -336,13 +336,16 @@ common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         const WireTraceContext& ctx,
                                         const xdr::Encoder& body);
 
-/// Materialize a frame around an already-flattened payload (result-cache
-/// hits replaying a stored reply body under a new call ID / trace
-/// context).  Pool-backed like flattenFramePooled.
-common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
-                                      std::uint64_t call_id,
-                                      const WireTraceContext& ctx,
-                                      std::span<const std::uint8_t> payload);
+/// Encode only the header of a frame whose `body_bytes`-byte body is
+/// already flat and travels as a separate buffer behind it: a cached
+/// reply replays the result cache's shared payload under each caller's
+/// own call ID and trace context, so the header is all it builds.  At
+/// most kHeaderBytesV2Traced bytes, in a pool slab like
+/// flattenFramePooled's.
+common::PooledBuffer frameHeaderPooled(WireMode mode, MessageType type,
+                                       std::uint64_t call_id,
+                                       const WireTraceContext& ctx,
+                                       std::size_t body_bytes);
 
 /// Record a materialized wire-buffer size in the
 /// "wire.peak_buffer_bytes" gauge (monotonic max since last metrics

@@ -387,10 +387,11 @@ void Reactor::handleHello(Conn& conn, const Frame& frame) {
   }
 }
 
-void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame) {
+void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame,
+                         ResultCache::Payload payload) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end() || it->second.dead) return;
-  it->second.writeq.push_back(OutBuf{std::move(frame), 0});
+  it->second.writeq.push_back(OutBuf{std::move(frame), std::move(payload)});
   ++epilogue_depth_;
   epilogueDepthGauge().set(static_cast<double>(epilogue_depth_));
   // No immediate flush: frames queued in the same wakeup burst coalesce
@@ -399,7 +400,8 @@ void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame) {
 }
 
 void Reactor::finishStagedCall(std::uint64_t conn_id,
-                               common::PooledBuffer reply) {
+                               common::PooledBuffer reply,
+                               ResultCache::Payload payload) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
     // The connection died mid-call; its staged budget was released by
@@ -413,7 +415,7 @@ void Reactor::finishStagedCall(std::uint64_t conn_id,
   }
   conn.v1_busy = false;
   if (!reply.empty() && !conn.dead) {
-    queueReply(conn_id, std::move(reply));
+    queueReply(conn_id, std::move(reply), std::move(payload));
   }
   // The freed admission slot (and, for v1, the lifted lock-step hold)
   // may unblock frames already sitting in reassembly buffers.
@@ -449,16 +451,28 @@ void Reactor::flushConn(Conn& conn) {
       obs::histogram("server.reactor.batch.frames_per_writev");
   while (!conn.writeq.empty()) {
     // Coalesce up to kBatchMaxFrames queued frames (bounded by the byte
-    // budget, always at least one) into a single vectored send.
-    std::array<std::span<const std::uint8_t>, common::kBatchMaxFrames> iov;
-    std::size_t count = 0;
+    // budget, always at least one) into a single vectored send.  A frame
+    // with a shared payload takes two iovecs while its header is unsent.
+    std::array<std::span<const std::uint8_t>, 2 * common::kBatchMaxFrames>
+        iov;
+    std::size_t count = 0;   // iovecs
+    std::size_t framed = 0;  // frames they carry
     std::size_t bytes = 0;
     for (const OutBuf& buf : conn.writeq) {
-      if (count == iov.size()) break;
-      if (count > 0 && bytes >= common::kBatchMaxBytes) break;
-      iov[count++] = std::span<const std::uint8_t>(
-          buf.bytes.data() + buf.off, buf.bytes.size() - buf.off);
-      bytes += buf.bytes.size() - buf.off;
+      if (framed == common::kBatchMaxFrames) break;
+      if (framed > 0 && bytes >= common::kBatchMaxBytes) break;
+      ++framed;
+      const std::span<const std::uint8_t> head = buf.bytes.span();
+      const std::span<const std::uint8_t> tail =
+          buf.payload ? std::span<const std::uint8_t>(*buf.payload)
+                      : std::span<const std::uint8_t>();
+      if (buf.off < head.size()) {
+        iov[count++] = head.subspan(buf.off);
+        if (!tail.empty()) iov[count++] = tail;
+      } else {
+        iov[count++] = tail.subspan(buf.off - head.size());
+      }
+      bytes += buf.size() - buf.off;
     }
     std::size_t sent = 0;
     try {
@@ -470,19 +484,20 @@ void Reactor::flushConn(Conn& conn) {
       return;
     }
     flushes.add();
-    frames.add(count);
-    per_writev.observe(static_cast<double>(count));
+    frames.add(framed);
+    per_writev.observe(static_cast<double>(framed));
     if (sent == 0) break;  // kernel buffer full
     while (sent > 0 && !conn.writeq.empty()) {
       OutBuf& front = conn.writeq.front();
-      const std::size_t left = front.bytes.size() - front.off;
+      const std::size_t left = front.size() - front.off;
       if (sent >= left) {
         sent -= left;
         conn.writeq.pop_front();
         --epilogue_depth_;
       } else {
-        // Short write: advance the per-buffer offset so the retry
-        // resumes mid-frame — never re-sends flushed bytes.
+        // Short write: advance the per-frame offset so the retry
+        // resumes mid-frame, in its header or its payload — never
+        // re-sends flushed bytes.
         front.off += sent;
         sent = 0;
       }

@@ -57,6 +57,7 @@
 #include "common/buffer_pool.h"
 #include "common/sync.h"
 #include "protocol/message.h"
+#include "server/result_cache.h"
 #include "transport/transport.h"
 
 namespace ninf::server {
@@ -93,29 +94,42 @@ class Reactor {
 
   // ---- reactor-thread-only API (solo tasks, frame handlers) ---------
 
-  /// Append one marshalled frame to `conn_id`'s write queue.  The
-  /// actual writev is deferred to the end of the current loop iteration
-  /// so every frame queued in one wakeup burst leaves in a single
-  /// coalesced sendvNowait (bounded by common::kBatchMaxFrames and
-  /// common::kBatchMaxBytes).  Unknown ids (connection died) are
-  /// dropped.  Not part of staged-call bookkeeping.
-  void queueReply(std::uint64_t conn_id, common::PooledBuffer frame);
+  /// Append one marshalled frame to `conn_id`'s write queue: `frame`,
+  /// then `payload` when set.  A cached reply is its own header plus the
+  /// result cache's payload, shared by reference, so N queued replies of
+  /// one entry hold one copy of its bytes.  The actual writev is deferred
+  /// to the end of the current loop iteration so every frame queued in
+  /// one wakeup burst leaves in a single coalesced sendvNowait (bounded
+  /// by common::kBatchMaxFrames and common::kBatchMaxBytes).  Unknown
+  /// ids (connection died) are dropped.  Not part of staged-call
+  /// bookkeeping.
+  void queueReply(std::uint64_t conn_id, common::PooledBuffer frame,
+                  ResultCache::Payload payload = nullptr);
 
-  /// Complete one staged call on `conn_id`: queue `reply` (empty = no
-  /// reply, the call was aborted), release its admission slot, lift the
-  /// v1 lock-step hold, and resume paused reads if the budget allows.
-  /// A connection that died meanwhile drops the reply: a client that
-  /// vanishes while its call waits or computes costs only that compute.
-  void finishStagedCall(std::uint64_t conn_id, common::PooledBuffer reply);
+  /// Complete one staged call on `conn_id`: queue `reply` and `payload`
+  /// as queueReply does (an empty `reply` = no reply, the call was
+  /// aborted), release its admission slot, lift the v1 lock-step hold,
+  /// and resume paused reads if the budget allows.  A connection that
+  /// died meanwhile drops the reply: a client that vanishes while its
+  /// call waits or computes costs only that compute.
+  void finishStagedCall(std::uint64_t conn_id, common::PooledBuffer reply,
+                        ResultCache::Payload payload);
 
  private:
-  /// One queued reply frame.  `off` is the flushed prefix: a short
-  /// sendvNowait advances it in place, so a retry resumes exactly where
-  /// the kernel stopped — a slow reader sees each byte once even when a
-  /// flush concatenates many frames.
+  /// One queued reply frame: `bytes` (a whole frame, or a cached
+  /// reply's header), then `payload` when set.  `off` is the flushed
+  /// prefix of the two together: a short sendvNowait advances it in
+  /// place, so a retry resumes exactly where the kernel stopped, on
+  /// either side of the header/payload boundary — a slow reader sees
+  /// each byte once even when a flush concatenates many frames.
   struct OutBuf {
     common::PooledBuffer bytes;
+    ResultCache::Payload payload;
     std::size_t off = 0;
+
+    std::size_t size() const {
+      return bytes.size() + (payload ? payload->size() : 0);
+    }
   };
 
   /// Per-connection state; touched only by the reactor thread.

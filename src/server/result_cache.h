@@ -76,7 +76,8 @@ class ResultCache {
 
   /// The cached unit: the flattened CallReply *payload* (body bytes, no
   /// frame header) -- header fields (call id, trace context) differ per
-  /// caller, so each consumer wraps the shared payload in its own frame.
+  /// caller, so each consumer sends these very bytes, by reference,
+  /// behind a frame header of its own.
   using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   /// Waiter completion.  Invoked outside the cache lock, on the fulfilling

@@ -313,7 +313,9 @@ NinfServer::ReplyPayload runPreparedCall(ServerMetrics& metrics,
 //                           decode, and admission (compute job onto the
 //                           job queue, two-phase pending entry)
 //   compute  (worker)    -> runPreparedCall, then the epilogue marshals
-//                           the reply into one self-contained buffer
+//                           the reply into one self-contained buffer (a
+//                           cache owner: a header in front of the
+//                           cache's shared payload)
 //   solo     (reactor)   -> finishStagedCall: write queue + flush
 //
 // The prologue touches only thread-safe state (job queue, pending table,
@@ -455,36 +457,39 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
     // into the copy), so nothing of the prepared call needs to survive
     // the hop back to the reactor.
     common::PooledBuffer wire;
+    ResultCache::Payload payload;
     {
       obs::Span span(obs::phase::kServerMarshalResult);
       span.setCallId(header.call_id);
       if (cache_owner) {
-        // Materialize once: the cache retains the shared payload and
-        // every waiter (and this caller) frames the same bytes.
-        ResultCache::Payload payload = materializeReply(reply);
+        // Materialize once: the cache retains the shared payload, and
+        // this caller and every waiter send those very bytes behind a
+        // header of their own.
+        payload = materializeReply(reply);
         cache_->fulfill(digest, payload, reply.ok);
-        wire = protocol::frameFromPayload(mode, MessageType::CallReply,
-                                          header.call_id, header.trace,
-                                          {payload->data(), payload->size()});
+        wire = protocol::frameHeaderPooled(mode, MessageType::CallReply,
+                                           header.call_id, header.trace,
+                                           payload->size());
       } else {
         wire = protocol::flattenFramePooled(mode, MessageType::CallReply,
                                             header.call_id, header.trace,
                                             reply.body);
       }
-      span.setBytes(static_cast<std::int64_t>(wire.size()));
+      span.setBytes(static_cast<std::int64_t>(
+          wire.size() + (payload ? payload->size() : 0)));
     }
-    postReply(conn_id, std::move(wire));
+    postReply(conn_id, std::move(wire), std::move(payload));
   };
   queue_.tryPush(std::move(job));
 }
 
-void NinfServer::postReply(std::uint64_t conn_id,
-                           common::PooledBuffer reply) {
+void NinfServer::postReply(std::uint64_t conn_id, common::PooledBuffer reply,
+                           ResultCache::Payload payload) {
   // postSolo takes a copyable std::function; hand the move-only slab
   // across via shared_ptr.
   auto r = std::make_shared<common::PooledBuffer>(std::move(reply));
-  reactor_->postSolo([this, conn_id, r]() {
-    reactor_->finishStagedCall(conn_id, std::move(*r));
+  reactor_->postSolo([this, conn_id, r, p = std::move(payload)]() mutable {
+    reactor_->finishStagedCall(conn_id, std::move(*r), std::move(p));
   });
 }
 
@@ -493,9 +498,10 @@ void NinfServer::sendCachedReply(std::uint64_t conn_id,
                                  const protocol::FrameHeader& header,
                                  ResultCache::Payload payload) {
   if (payload) {
-    postReply(conn_id, protocol::frameFromPayload(
-                           mode, MessageType::CallReply, header.call_id,
-                           header.trace, {payload->data(), payload->size()}));
+    common::PooledBuffer head = protocol::frameHeaderPooled(
+        mode, MessageType::CallReply, header.call_id, header.trace,
+        payload->size());
+    postReply(conn_id, std::move(head), std::move(payload));
     return;
   }
   // Owner aborted (server shutdown): fail the call explicitly rather than

@@ -134,9 +134,11 @@ class NinfServer {
   void reactorPrologue(std::uint64_t conn_id, protocol::WireMode mode,
                        protocol::Frame frame);
 
-  /// Complete a staged call from any thread: post `reply` to the
-  /// reactor, which queues it and releases the call's admission slot.
-  void postReply(std::uint64_t conn_id, common::PooledBuffer reply);
+  /// Complete a staged call from any thread: post `reply` (followed on
+  /// the wire by `payload`, when set) to the reactor, which queues it and
+  /// releases the call's admission slot.
+  void postReply(std::uint64_t conn_id, common::PooledBuffer reply,
+                 ResultCache::Payload payload = nullptr);
 
   /// Compute the reply to a small control frame (everything but
   /// CallRequest/SubmitRequest) from its type and body, framing-agnostic.
@@ -144,9 +146,10 @@ class NinfServer {
                              std::span<const std::uint8_t> body);
 
   /// Emit a cached (or owner-aborted) idempotent reply for a
-  /// reactor-staged call: wraps the shared payload in this caller's own
-  /// frame header and hands it to the reactor thread.  Callable from any
-  /// thread (cache-fulfill callbacks run on the owner's thread).
+  /// reactor-staged call: builds this caller's own frame header and hands
+  /// it to the reactor thread with the shared payload by reference, never
+  /// a copy.  Callable from any thread (cache-fulfill callbacks run on the
+  /// owner's thread).
   void sendCachedReply(std::uint64_t conn_id, protocol::WireMode mode,
                        const protocol::FrameHeader& header,
                        ResultCache::Payload payload);

@@ -10,15 +10,18 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "client/channel.h"
 #include "client/client.h"
 #include "common/buffer_pool.h"
 #include "common/error.h"
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
 #include "obs/metrics.h"
+#include "protocol/call_marshal.h"
 #include "protocol/message.h"
 #include "server/server.h"
 #include "transport/fault_injection.h"
@@ -374,28 +377,72 @@ TEST_F(HotPathRpc, SlowReaderGetsExactBytesThroughBatchedWriteQueue) {
   // 8 threads x 8 DISTINCT dmmul calls multiplexed over one channel
   // whose reader drains slowly: the server queues multiple replies per
   // connection and flushes them through coalesced, partially-accepted
-  // writev rounds.  Any duplicated, dropped, or interleaved byte
-  // desynchronizes v2 framing or corrupts a result — every call must
-  // come back correct.
+  // writev rounds.  Every thread also pipelines 8 repeats of one larger
+  // call, identical across threads, so cache hits (a header of their own
+  // plus the cache's shared payload) queue among the owners' replies.
+  // Their 8 MiB outgrow what the kernel's socket buffers absorb, so
+  // rounds stop and resume inside headers and payloads alike.  Any
+  // duplicated, dropped, or interleaved byte desynchronizes v2 framing
+  // or corrupts a result — every call must come back correct.
   NinfClient client(std::make_unique<ThrottledStream>(connect()));
+  const idl::InterfaceInfo& dmmul = client.queryInterface("dmmul");
 
-  const double batched0 =
-      obs::counter("server.reactor.batch.frames").value();
+  obs::Counter& batched = obs::counter("server.reactor.batch.frames");
+  const double batched0 = batched.value();
+  const auto cacheServed = [] {
+    return obs::counter("server.cache.hits").value() +
+           obs::counter("server.cache.inflight_merges").value();
+  };
+  const double served0 = cacheServed();
 
-  constexpr std::size_t n = 48;  // 18 KiB replies
+  constexpr std::size_t kDistinctN = 48;  // 18 KiB replies
+  constexpr std::size_t kSharedN = 128;   // 128 KiB replies
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 8;
+  const numlib::Matrix shared_a = numlib::randomMatrix(kSharedN, 7);
+  const numlib::Matrix shared_b = numlib::randomMatrix(kSharedN, 8);
+  const numlib::Matrix shared_c = numlib::dmmul(shared_a, shared_b);
   std::atomic<int> failures{0};
+  const auto check = [&](std::span<const double> c,
+                         const numlib::Matrix& expected) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (std::abs(c[i] - expected.flat()[i]) > 1e-9) {
+        failures.fetch_add(1);
+        return;
+      }
+    }
+  };
+  /// One pipelined call: its OUT array, arguments and reply in flight.
+  struct Repeat {
+    std::vector<double> c;
+    std::vector<ArgValue> args;
+    client::Channel::Pending pending;
+  };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      std::vector<Repeat> repeats(kCallsPerThread);
+      for (Repeat& r : repeats) {
+        r.c.assign(kSharedN * kSharedN, 0.0);
+        r.args = {ArgValue::inInt(static_cast<std::int64_t>(kSharedN)),
+                  ArgValue::inArray(shared_a.flat()),
+                  ArgValue::inArray(shared_b.flat()), ArgValue::outArray(r.c)};
+        r.pending = client.channel().start(
+            protocol::MessageType::CallRequest,
+            protocol::buildCallRequest(dmmul, r.args),
+            [&dmmul, &r](const client::Channel::Reply&, xdr::Source& src) {
+              protocol::decodeCallReply(dmmul, src, r.args);
+            });
+      }
       for (int k = 0; k < kCallsPerThread; ++k) {
         const int salt = t * kCallsPerThread + k;
-        const numlib::Matrix a = numlib::randomMatrix(n, 100 + 2 * salt);
-        const numlib::Matrix b = numlib::randomMatrix(n, 101 + 2 * salt);
-        std::vector<double> c(n * n, 0.0);
+        const numlib::Matrix a =
+            numlib::randomMatrix(kDistinctN, 100 + 2 * salt);
+        const numlib::Matrix b =
+            numlib::randomMatrix(kDistinctN, 101 + 2 * salt);
+        std::vector<double> c(kDistinctN * kDistinctN, 0.0);
         std::vector<ArgValue> args = {
-            ArgValue::inInt(static_cast<std::int64_t>(n)),
+            ArgValue::inInt(static_cast<std::int64_t>(kDistinctN)),
             ArgValue::inArray(a.flat()), ArgValue::inArray(b.flat()),
             ArgValue::outArray(c)};
         try {
@@ -404,13 +451,16 @@ TEST_F(HotPathRpc, SlowReaderGetsExactBytesThroughBatchedWriteQueue) {
           failures.fetch_add(1);
           continue;
         }
-        const numlib::Matrix expected = numlib::dmmul(a, b);
-        for (std::size_t i = 0; i < c.size(); ++i) {
-          if (std::abs(c[i] - expected.flat()[i]) > 1e-9) {
-            failures.fetch_add(1);
-            break;
-          }
+        check(c, numlib::dmmul(a, b));
+      }
+      for (Repeat& r : repeats) {
+        try {
+          r.pending.wait();
+        } catch (const Error&) {
+          failures.fetch_add(1);
+          continue;
         }
+        check(r.c, shared_c);
       }
     });
   }
@@ -419,7 +469,10 @@ TEST_F(HotPathRpc, SlowReaderGetsExactBytesThroughBatchedWriteQueue) {
 
   EXPECT_EQ(failures.load(), 0);
   // The reply stream actually exercised the coalescing write queue.
-  EXPECT_GT(obs::counter("server.reactor.batch.frames").value(), batched0);
+  EXPECT_GT(batched.value(), batched0);
+  // One of the repeated calls owned the cache entry; every other one was
+  // replayed from it.
+  EXPECT_EQ(cacheServed() - served0, kThreads * kCallsPerThread - 1);
 }
 
 }  // namespace

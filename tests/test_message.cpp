@@ -56,12 +56,26 @@ constexpr std::uint64_t kCallId = 0x0102030405060708ULL;
 constexpr WireTraceContext kTrace{0x1112131415161718ULL,
                                   0x2122232425262728ULL};
 
+/// Append one frame's wire bytes to `wire` as the reactor sends a cached
+/// reply: the header encoder's bytes, then the flat body.
+void appendFrame(std::vector<std::uint8_t>& wire, WireMode mode,
+                 MessageType type, std::uint64_t call_id,
+                 std::span<const std::uint8_t> body,
+                 const WireTraceContext& ctx = {}) {
+  const common::PooledBuffer header =
+      frameHeaderPooled(mode, type, call_id, ctx, body.size());
+  EXPECT_EQ(header.size(), headerBytes(mode));
+  wire.insert(wire.end(), header.span().begin(), header.span().end());
+  wire.insert(wire.end(), body.begin(), body.end());
+}
+
 TEST(Message, StreamedSendMatchesContiguousWireFormat) {
   // In every mode, the streamed sender (the client's large-request path)
   // must put the bytes of flattenFramePooled (the reactor's reply path)
   // on the wire, borrowed double arrays included, and its body must be
   // byte-identical to the contiguous encoding.  The flat-body overload
-  // must match frameFromPayload the same way.
+  // must match frameHeaderPooled followed by the body (the reactor's
+  // cached-reply path) the same way.
   std::vector<double> big(5000);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<double>(i) * 0.25 - 7.0;
@@ -79,22 +93,25 @@ TEST(Message, StreamedSendMatchesContiguousWireFormat) {
   for (const WireMode mode : kModes) {
     SCOPED_TRACE(modeName(mode));
     auto [a, b] = transport::inprocPair();
-    const auto receivedEquals = [&b = b](const common::PooledBuffer& frame) {
-      std::vector<std::uint8_t> wire(frame.size());
-      b->recvAll(wire);
-      return std::ranges::equal(wire, frame.span());
-    };
+    const auto receivedEquals =
+        [&b = b](std::span<const std::uint8_t> frame) {
+          std::vector<std::uint8_t> wire(frame.size());
+          b->recvAll(wire);
+          return std::ranges::equal(wire, frame);
+        };
     sendFrame(*a, mode, MessageType::Ping, streamed, kCallId, kTrace);
     const common::PooledBuffer flat =
         flattenFramePooled(mode, MessageType::Ping, kCallId, kTrace, streamed);
-    EXPECT_TRUE(receivedEquals(flat));
+    EXPECT_TRUE(receivedEquals(flat.span()));
     EXPECT_TRUE(std::ranges::equal(flat.span().subspan(headerBytes(mode)),
                                    contiguous.bytes()));
 
     sendFrame(*a, mode, MessageType::Ping, contiguous.bytes(), kCallId,
               kTrace);
-    EXPECT_TRUE(receivedEquals(frameFromPayload(
-        mode, MessageType::Ping, kCallId, kTrace, contiguous.bytes())));
+    std::vector<std::uint8_t> cached;
+    appendFrame(cached, mode, MessageType::Ping, kCallId, contiguous.bytes(),
+                kTrace);
+    EXPECT_TRUE(receivedEquals(cached));
   }
 }
 
@@ -224,15 +241,6 @@ std::vector<std::uint8_t> patternBytes(std::size_t n, std::uint8_t salt) {
     out[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9) ^ salt);
   }
   return out;
-}
-
-/// Append one frame's wire bytes to `wire`.
-void appendFrame(std::vector<std::uint8_t>& wire, WireMode mode,
-                 MessageType type, std::uint64_t call_id,
-                 std::span<const std::uint8_t> body) {
-  const common::PooledBuffer frame =
-      frameFromPayload(mode, type, call_id, {}, body);
-  wire.insert(wire.end(), frame.span().begin(), frame.span().end());
 }
 
 struct Pumped {

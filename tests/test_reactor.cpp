@@ -631,6 +631,105 @@ TEST(ReactorV1Hold, PipelinedFramesWaitInTheKernelNotTheServer) {
   server.stop();
 }
 
+TEST(ReactorCachedReplies, QueuedHitsOfOneEntryShareItsPayload) {
+  // A raw v2 peer pipelines 128 identical dos(2, 0, 1, 131072) calls,
+  // 40 bytes each with a 1 MiB reply, and reads nothing.  The first owns
+  // the cache entry; the other 127 are single-flight waiters or hits,
+  // and all 128 replies back up in the connection's write queue.  Each
+  // is a header of its own plus the cache's one payload, so the queue
+  // holds one copy of the bytes, not 128.
+  Registry registry;
+  server::registerStandardExecutables(registry, 2);
+  NinfServer server(registry, {.workers = 2});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  server.start(listener);
+
+  auto stream = transport::tcpConnect("127.0.0.1", listener->port());
+  xdr::Encoder hello;
+  protocol::Hello{}.encode(hello);
+  protocol::sendFrame(*stream, protocol::WireMode::V1,
+                      protocol::MessageType::Hello, hello);
+  const protocol::Message ack = protocol::recvMessage(*stream);
+  ASSERT_EQ(ack.type, protocol::MessageType::HelloAck);
+  xdr::Decoder ack_dec(ack.payload);
+  const protocol::HelloAck agreed = protocol::HelloAck::decode(ack_dec);
+  const protocol::WireMode mode =
+      protocol::wireModeFor(agreed.version, agreed.features.value_or(0));
+  ASSERT_NE(mode, protocol::WireMode::V1);
+
+  const auto dosCall = [](std::int64_t first) {
+    xdr::Encoder call;
+    call.putString("dos");
+    for (const std::int64_t v : {std::int64_t{2}, first, std::int64_t{1},
+                                 std::int64_t{131072}}) {
+      call.putI64(v);
+    }
+    return call;
+  };
+  const auto recvReply = [&](protocol::FrameHeader& header) {
+    header = protocol::recvHeader(*stream, mode);
+    std::vector<std::uint8_t> body(header.length);
+    stream->recvAll(body);
+    return body;
+  };
+
+  // Warm the compute and reply path with a call of other arguments, so
+  // the rise below is what the queued replies hold, not first touches.
+  protocol::FrameHeader header;
+  protocol::sendFrame(*stream, mode, protocol::MessageType::CallRequest,
+                      dosCall(1), /*call_id=*/1000);
+  const std::vector<std::uint8_t> warm = recvReply(header);
+  ASSERT_EQ(header.call_id, 1000u);
+  ASSERT_EQ(xdr::Decoder(warm).getU32(), 0u) << "warm-up call failed";
+
+  obs::Counter& hits = obs::counter("server.cache.hits");
+  obs::Counter& merges = obs::counter("server.cache.inflight_merges");
+  const double served0 = hits.value() + merges.value();
+  const double rss_before = processRssBytes();
+  ASSERT_GT(rss_before, 0.0);
+
+  constexpr std::uint64_t kCalls = 128;
+  const xdr::Encoder call = dosCall(0);
+  for (std::uint64_t id = 1; id <= kCalls; ++id) {
+    protocol::sendFrame(*stream, mode, protocol::MessageType::CallRequest,
+                        call, id);
+  }
+  ASSERT_TRUE(waitFor(
+      [&] { return hits.value() + merges.value() - served0 >= kCalls - 1; },
+      20.0))
+      << "cache served " << hits.value() + merges.value() - served0;
+  // The last lookups' replies reach the write queue within a loop
+  // iteration of their counts.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double rise = processRssBytes() - rss_before;
+  EXPECT_LT(rise, 16.0 * (1 << 20))
+      << "VmRSS rose by " << rise << " bytes with " << kCalls
+      << " 1 MiB replies queued";
+
+  // Every reply carries its own call id, in whatever order the owner
+  // and its waiters finished, and the owner's body byte for byte.
+  std::vector<bool> seen(kCalls + 1, false);
+  std::vector<std::uint8_t> first;
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    std::vector<std::uint8_t> body = recvReply(header);
+    ASSERT_EQ(header.type, protocol::MessageType::CallReply);
+    ASSERT_GE(header.call_id, 1u);
+    ASSERT_LE(header.call_id, kCalls);
+    EXPECT_FALSE(seen[header.call_id]) << "call id " << header.call_id;
+    seen[header.call_id] = true;
+    if (i == 0) {
+      EXPECT_EQ(xdr::Decoder(body).getU32(), 0u) << "call failed";
+      EXPECT_GT(body.size(), std::size_t{1} << 20);
+      first = std::move(body);
+    } else {
+      ASSERT_EQ(body, first) << "reply " << i << ", call id "
+                             << header.call_id;
+    }
+  }
+  stream->close();
+  server.stop();
+}
+
 TEST_F(ReactorTest, SmallCallWakesTheReactorOncePerCall) {
   // A small call's prologue runs on the reactor thread and enqueues the
   // compute job itself, so the reply is the only worker -> reactor

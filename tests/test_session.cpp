@@ -19,7 +19,6 @@
 #include "protocol/message.h"
 #include "reactor_probe.h"
 #include "server/server.h"
-#include "stream_send.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -405,10 +404,12 @@ TEST(ChannelStall, MidReplyStallBoundsDeadlinedCallAndBreaksChannel) {
     body.drain();
     // Reply header promises 64 body bytes; deliver 8, then go mute.
     const std::array<std::uint8_t, 64> promised{};
-    const common::PooledBuffer reply = protocol::frameFromPayload(
+    const common::PooledBuffer header = protocol::frameHeaderPooled(
         protocol::WireMode::V2, protocol::MessageType::Pong, request.call_id,
-        {}, promised);
-    sendBytes(*s_end, reply.span().first(protocol::kHeaderBytesV2 + 8));
+        {}, promised.size());
+    const std::span<const std::uint8_t> partial[2] = {
+        header.span(), std::span(promised).first(8)};
+    s_end->sendv(partial);
     // Hold the connection open until the client abandons the wire.
     try {
       std::uint8_t byte;
