@@ -8,9 +8,29 @@
 
 namespace ninf::numlib {
 
-/// y += alpha * x, one multiply and one add per element, in element
-/// order; returns at once when alpha == 0.  x and y must not overlap:
-/// the vector form loads a step's elements before it stores them.
+/// One term of daxpyTerms: alpha * x.
+struct AxpyTerm {
+  double alpha = 0.0;
+  std::span<const double> x;
+};
+
+/// The most terms one daxpyTerms call takes: with four, each step's
+/// eight y elements, four broadcast alphas and the loaded x lanes fit
+/// x86-64's 16 SSE registers.
+inline constexpr std::size_t kMaxAxpyTerms = 4;
+
+/// y += alpha_1 * x_1 + ... + alpha_m * x_m, the one column-update
+/// kernel of numlib.  Each element gets, term by term in the order
+/// given, one multiply and one add (v = v + alpha_t * x_t[i]), so the
+/// result is bit-identical to one daxpy per term in that order; one
+/// pass over y replaces m.  Takes 1 to kMaxAxpyTerms terms, each x as
+/// long as y.  Every term given is applied: a caller that wants
+/// daxpy's zero skip leaves zero alphas out.  No x may overlap y: a
+/// step loads its elements before it stores them.
+void daxpyTerms(std::span<const AxpyTerm> terms, std::span<double> y);
+
+/// y += alpha * x: daxpyTerms with one term, in element order; returns
+/// at once when alpha == 0.  x and y must not overlap.
 void daxpy(double alpha, std::span<const double> x, std::span<double> y);
 
 /// dot(x, y).

@@ -1,6 +1,7 @@
 #include "numlib/lu.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -108,27 +109,57 @@ PivotVector dgefa(Matrix& a) {
   const std::size_t n = a.rows();
   PivotVector ipvt(n);
   if (n == 0) return ipvt;
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    auto colk = a.col(k);
-    const std::size_t p = k + idamax(colk.subspan(k));
-    ipvt[k] = p;
-    if (colk[p] == 0.0) singular(k);
-    // Full row interchange (LAPACK storage convention: L and U are the
-    // true factors of P*A, so the solve applies P to b up front).  The
-    // original LINPACK dgefa left columns < k unswapped and compensated
-    // in dgesl; the blocked factorizations need the LAPACK convention,
-    // so every variant uses it for interchangeable pivot vectors.
-    // Columns 0..k swap here; each later column swaps just before its
-    // update, as in LINPACK's dgefa, so the pass over it runs once.
-    if (p != k) {
-      for (std::size_t j = 0; j <= k; ++j) std::swap(a(k, j), a(p, j));
+  // Steps run in blocks of kBlock.  Within a block, each step updates
+  // only the block's own later columns; every column after the block
+  // then takes the block's steps in one pass over its trailing rows.
+  // Every element still gets the same multiplies and adds in the same
+  // step order, so the factors are bit-identical to one daxpy per column
+  // per step.  The swaps may all go first: step r's swap touches only
+  // rows >= k + r, which earlier steps update elementwise, and it swaps
+  // the stored multiplier columns the same way.
+  constexpr std::size_t kBlock = kMaxAxpyTerms;
+  for (std::size_t k = 0; k + 1 < n; k += kBlock) {
+    const std::size_t end = std::min(k + kBlock, n - 1);  // steps k..end-1
+    for (std::size_t s = k; s < end; ++s) {
+      auto cols = a.col(s);
+      const std::size_t p = s + idamax(cols.subspan(s));
+      ipvt[s] = p;
+      if (cols[p] == 0.0) singular(s);
+      // Full row interchange (LAPACK storage convention: L and U are the
+      // true factors of P*A, so the solve applies P to b up front).  The
+      // original LINPACK dgefa left columns < k unswapped and compensated
+      // in dgesl; the blocked factorizations need the LAPACK convention,
+      // so every variant uses it for interchangeable pivot vectors.
+      // Columns 0..s swap here; each later column swaps just before its
+      // update, as in LINPACK's dgefa (after the block, in its fused
+      // pass), so the pass over it runs once.
+      if (p != s) {
+        for (std::size_t j = 0; j <= s; ++j) std::swap(a(s, j), a(p, j));
+      }
+      dscal(1.0 / cols[s], cols.subspan(s + 1));
+      for (std::size_t j = s + 1; j < end; ++j) {
+        auto colj = a.col(j);
+        std::swap(colj[s], colj[p]);  // a no-op when p == s
+        daxpy(-colj[s], cols.subspan(s + 1), colj.subspan(s + 1));
+      }
     }
-    const double pivot = colk[k];
-    dscal(1.0 / pivot, colk.subspan(k + 1));
-    for (std::size_t j = k + 1; j < n; ++j) {
+    // Each later column: the block's swaps, the triangle of updates to
+    // rows k..end-1, then one kernel pass over rows end.. that applies
+    // every nonzero multiplier, in step order (daxpy skips a zero one).
+    for (std::size_t j = end; j < n; ++j) {
       auto colj = a.col(j);
-      std::swap(colj[k], colj[p]);  // a no-op when p == k
-      daxpy(-colj[k], colk.subspan(k + 1), colj.subspan(k + 1));
+      for (std::size_t s = k; s < end; ++s) std::swap(colj[s], colj[ipvt[s]]);
+      std::array<AxpyTerm, kBlock> terms{};
+      std::size_t m = 0;
+      for (std::size_t s = k; s < end; ++s) {
+        const double t = colj[s];
+        if (t == 0.0) continue;
+        const auto l = a.col(s);
+        daxpy(-t, l.subspan(s + 1, end - s - 1),
+              colj.subspan(s + 1, end - s - 1));
+        terms[m++] = {-t, l.subspan(end)};
+      }
+      if (m > 0) daxpyTerms({terms.data(), m}, colj.subspan(end));
     }
   }
   ipvt[n - 1] = n - 1;

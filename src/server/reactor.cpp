@@ -483,10 +483,10 @@ void Reactor::flushConn(Conn& conn) {
       killConn(conn);
       return;
     }
-    flushes.add();
-    frames.add(framed);
-    per_writev.observe(static_cast<double>(framed));
     if (sent == 0) break;  // kernel buffer full
+    // A flush is a send that moved bytes; a frame counts once, when its
+    // last byte goes out.
+    std::size_t done = 0;
     while (sent > 0 && !conn.writeq.empty()) {
       OutBuf& front = conn.writeq.front();
       const std::size_t left = front.size() - front.off;
@@ -494,6 +494,7 @@ void Reactor::flushConn(Conn& conn) {
         sent -= left;
         conn.writeq.pop_front();
         --epilogue_depth_;
+        ++done;
       } else {
         // Short write: advance the per-frame offset so the retry
         // resumes mid-frame, in its header or its payload — never
@@ -502,6 +503,9 @@ void Reactor::flushConn(Conn& conn) {
         sent = 0;
       }
     }
+    flushes.add();
+    frames.add(done);
+    per_writev.observe(static_cast<double>(done));
   }
   epilogueDepthGauge().set(static_cast<double>(epilogue_depth_));
   const bool want_write = !conn.writeq.empty();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -19,32 +20,68 @@ TEST(Blas, Daxpy) {
 }
 
 TEST(Blas, DaxpyUnrolledIsBitIdenticalToTheScalarLoop) {
-  // daxpy runs two 16-byte vectors per step and then a scalar tail; each
-  // element must still get exactly one y + alpha * x, for every length
-  // mod 4 and every start offset, at zero alphas of either sign and at
-  // extreme ones, and nothing outside the span may change.
+  // daxpyTerms runs four 16-byte lanes per step, then two-double steps,
+  // then a scalar tail.  With 1 to 4 terms, each element must still get
+  // exactly one y + alpha * x per term, in term order (one plain loop per
+  // term), for every length mod 8 and every start offset, at every tuple
+  // of zero alphas of either sign, extreme ones and an ordinary one (two
+  // ordinary terms round differently in the other order), and nothing
+  // outside the span may change.  daxpy, the one-term case, skips a zero
+  // alpha; daxpyTerms applies every term it is given.
   constexpr std::size_t kMaxN = 131;
   constexpr std::size_t kLen = kMaxN + 4;
-  std::vector<double> xs(kLen), ys(kLen);
+  std::array<std::vector<double>, kMaxAxpyTerms> xs;
+  std::vector<double> ys(kLen);
+  for (std::size_t m = 0; m < xs.size(); ++m) {
+    xs[m].resize(kLen);
+    for (std::size_t i = 0; i < kLen; ++i) {
+      xs[m][i] = std::sin(static_cast<double>(i * (m + 1)) + 0.5) * 1e3 /
+                 (1.0 + i);
+    }
+  }
   for (std::size_t i = 0; i < kLen; ++i) {
-    xs[i] = std::sin(static_cast<double>(i) + 0.5) * 1e3 / (1.0 + i);
     ys[i] = std::cos(static_cast<double>(i) * 1.7) * 3.0 - 1e-3 * i;
   }
-  for (const double alpha : {-0.0, 0.0, -0.7310585786300049, 1e300, 1e-300}) {
-    for (std::size_t offset = 0; offset < 4; ++offset) {
-      for (std::size_t n = 0; n <= kMaxN; ++n) {
-        std::vector<double> got = ys;
-        std::vector<double> want = ys;
-        daxpy(alpha, std::span<const double>(xs.data() + offset, n),
-              std::span<double>(got.data() + offset, n));
-        if (alpha != 0.0) {
-          for (std::size_t i = offset; i < offset + n; ++i) {
-            want[i] += alpha * xs[i];
+  const std::array<double, 5> alphas = {-0.0, 0.0, -0.7310585786300049,
+                                        1e300, 1e-300};
+  std::vector<double> got;
+  std::vector<double> want;
+  std::vector<AxpyTerm> terms;
+  std::size_t tuples = 1;
+  for (std::size_t count = 1; count <= kMaxAxpyTerms; ++count) {
+    tuples *= alphas.size();
+    for (std::size_t tuple = 0; tuple < tuples; ++tuple) {
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        for (std::size_t n = 0; n <= kMaxN; ++n) {
+          terms.clear();
+          for (std::size_t m = 0, code = tuple; m < count;
+               ++m, code /= alphas.size()) {
+            terms.push_back(
+                {alphas[code % alphas.size()],
+                 std::span<const double>(xs[m].data() + offset, n)});
           }
+          want = ys;
+          for (const AxpyTerm& t : terms) {
+            for (std::size_t i = 0; i < n; ++i) {
+              want[offset + i] += t.alpha * t.x[i];
+            }
+          }
+          got = ys;
+          daxpyTerms(terms, std::span<double>(got.data() + offset, n));
+          EXPECT_EQ(
+              std::memcmp(got.data(), want.data(), kLen * sizeof(double)), 0)
+              << "daxpyTerms terms=" << count << " tuple=" << tuple
+              << " n=" << n << " offset=" << offset;
+          if (count > 1) continue;
+          got = ys;
+          daxpy(terms[0].alpha, terms[0].x,
+                std::span<double>(got.data() + offset, n));
+          if (terms[0].alpha == 0.0) want = ys;
+          EXPECT_EQ(
+              std::memcmp(got.data(), want.data(), kLen * sizeof(double)), 0)
+              << "daxpy alpha=" << terms[0].alpha << " n=" << n
+              << " offset=" << offset;
         }
-        EXPECT_EQ(
-            std::memcmp(got.data(), want.data(), kLen * sizeof(double)), 0)
-            << "alpha=" << alpha << " n=" << n << " offset=" << offset;
       }
     }
   }
@@ -61,6 +98,13 @@ TEST(Blas, DaxpyLengthMismatchThrows) {
   const std::vector<double> x = {1};
   std::vector<double> y = {1, 2};
   EXPECT_THROW(daxpy(1.0, x, y), std::logic_error);
+  const std::vector<double> x2 = {3, 4};
+  const std::vector<AxpyTerm> mismatched = {{1.0, x2}, {1.0, x}};
+  EXPECT_THROW(daxpyTerms(mismatched, y), std::logic_error);
+  EXPECT_THROW(daxpyTerms({}, y), std::logic_error);
+  const std::vector<AxpyTerm> five(kMaxAxpyTerms + 1, AxpyTerm{1.0, x2});
+  EXPECT_THROW(daxpyTerms(five, y), std::logic_error);
+  EXPECT_EQ(y, (std::vector<double>{1, 2}));
 }
 
 TEST(Blas, Ddot) {

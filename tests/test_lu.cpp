@@ -202,36 +202,61 @@ bool sameBits(std::span<const double> x, std::span<const double> y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
+/// Dense 3x3 blocks of positive entries on the diagonal (the last one
+/// smaller when 3 does not divide n) and -0.0 everywhere else:
+/// nonsingular, and every step meets zero multipliers.  A skipped update
+/// keeps a -0.0 entry's sign; an applied one, -0.0 + 0.0 * l with l > 0
+/// (each block's first multipliers are), turns it into +0.0.
+Matrix blockDiagonal(std::size_t n, std::uint64_t seed) {
+  Matrix a = randomMatrix(n, seed);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      a(i, j) = i / 3 == j / 3 ? std::abs(a(i, j)) : -0.0;
+    }
+  }
+  return a;
+}
+
 TEST(Lu, VariantsMatchTheirPlainLoopsBitForBit) {
   // Every variant, factor and solve, against its plain-loop oracle:
-  // identical factors, pivots and solution, down to the last bit.
+  // identical factors, pivots and solution, down to the last bit.  The
+  // dense random matrices never produce a zero multiplier; the
+  // block-diagonal ones produce them inside every block of steps.
   for (const std::size_t n : {1, 2, 3, 5, 17, 64, 127, 350}) {
-    const Matrix original = randomMatrix(n, 500 + n);
-    const std::vector<double> rhs = onesRhs(original);
-    const auto check = [&](const char* variant, auto factor, auto oracle) {
-      Matrix got = original;
-      Matrix want = original;
-      std::vector<double> x = rhs;
-      std::vector<double> x_want = rhs;
-      const PivotVector ipvt = factor(got);
-      const PivotVector ipvt_want = oracle(want);
-      dgesl(got, ipvt, x);
-      plainDgesl(want, ipvt_want, x_want);
-      EXPECT_EQ(ipvt, ipvt_want) << variant << " n=" << n;
-      EXPECT_TRUE(sameBits(got.flat(), want.flat())) << variant << " n=" << n;
-      EXPECT_TRUE(sameBits(x, x_want)) << variant << " n=" << n;
-    };
-    check("dgefa", [](Matrix& m) { return dgefa(m); }, plainDgefa);
-    for (const std::size_t nb : {8, 64}) {
+    const std::pair<const char*, Matrix> inputs[] = {
+        {"dense", randomMatrix(n, 500 + n)},
+        {"block-diagonal", blockDiagonal(n, 900 + n)}};
+    for (const auto& entry : inputs) {
+      const char* input = entry.first;
+      const Matrix& original = entry.second;
+      const std::vector<double> rhs = onesRhs(original);
+      const auto check = [&](const char* variant, auto factor, auto oracle) {
+        Matrix got = original;
+        Matrix want = original;
+        std::vector<double> x = rhs;
+        std::vector<double> x_want = rhs;
+        const PivotVector ipvt = factor(got);
+        const PivotVector ipvt_want = oracle(want);
+        dgesl(got, ipvt, x);
+        plainDgesl(want, ipvt_want, x_want);
+        EXPECT_EQ(ipvt, ipvt_want) << variant << ' ' << input << " n=" << n;
+        EXPECT_TRUE(sameBits(got.flat(), want.flat()))
+            << variant << ' ' << input << " n=" << n;
+        EXPECT_TRUE(sameBits(x, x_want))
+            << variant << ' ' << input << " n=" << n;
+      };
+      check("dgefa", [](Matrix& m) { return dgefa(m); }, plainDgefa);
+      for (const std::size_t nb : {8, 64}) {
+        check(
+            "luBlocked", [nb](Matrix& m) { return luBlocked(m, nb); },
+            [nb](Matrix& m) { return plainBlocked(m, nb); });
+      }
+      // The strips split the trailing update by columns: each column gets
+      // the same operations as in the one-thread blocked path.
       check(
-          "luBlocked", [nb](Matrix& m) { return luBlocked(m, nb); },
-          [nb](Matrix& m) { return plainBlocked(m, nb); });
+          "luParallel", [](Matrix& m) { return luParallel(m, 4); },
+          [](Matrix& m) { return plainBlocked(m, 32); });
     }
-    // The strips split the trailing update by columns: each column gets
-    // the same operations as in the one-thread blocked path.
-    check(
-        "luParallel", [](Matrix& m) { return luParallel(m, 4); },
-        [](Matrix& m) { return plainBlocked(m, 32); });
   }
 }
 
